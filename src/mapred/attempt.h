@@ -67,10 +67,13 @@ struct TaskAttempt {
 
   bool running() const { return state == AttemptState::kRunning; }
 
-  // "m3/2": task m3, third attempt overall would be attempt_id 2.
+  // "m3/2": task m3, third attempt overall would be attempt_id 2. Built
+  // piecewise: GCC 12 -O3 reports a false -Wrestrict on char* + string.
   std::string name() const {
-    return (kind == TaskKind::kMap ? "m" : "r") + std::to_string(task_id) +
-           "/" + std::to_string(attempt_id);
+    std::string out = kind == TaskKind::kMap ? "m" : "r";
+    return out.append(std::to_string(task_id))
+        .append("/")
+        .append(std::to_string(attempt_id));
   }
 };
 

@@ -339,10 +339,10 @@ sim::Task<> JobRuntime::charge_cpu(Host& host, std::uint64_t modeled_bytes,
   co_await host.compute(double(modeled_bytes) / bw);
 }
 
-bool JobRuntime::report_fetch_failure(int host_id) {
-  if (blacklisted_trackers.contains(host_id)) return false;
+void JobRuntime::report_fetch_failure(int host_id) {
+  if (blacklisted_trackers.contains(host_id)) return;
   const int streak = ++fetch_failure_streak[host_id];
-  if (streak < retry.blacklist_threshold) return false;
+  if (streak < retry.blacklist_threshold) return;
   blacklisted_trackers.insert(host_id);
   ++result.trackers_blacklisted;
   engine.metrics().counter("shuffle.trackers.blacklisted").add();
@@ -350,7 +350,6 @@ bool JobRuntime::report_fetch_failure(int host_id) {
     tracer->instant(tracker_for_host(host_id).host->name(), "fault",
                     "tracker_blacklisted");
   }
-  return true;
 }
 
 void JobRuntime::report_fetch_success(int host_id) {

@@ -15,7 +15,6 @@
 #include "dataplane/segment.h"
 #include "hdfs/hdfs.h"
 #include "mapred/attempt.h"
-#include "mapred/recovery.h"
 #include "mapred/types.h"
 #include "net/cluster.h"
 #include "net/network.h"
@@ -181,8 +180,8 @@ struct JobRuntime {
 
   JobResult result;
 
-  // Shuffle-fetch recovery (mapred/recovery.h): resolved policy,
-  // per-tracker consecutive-failure streaks, and the blacklist.
+  // Shuffle-fetch recovery (applied by mapred/fetch_client.h): resolved
+  // policy, per-tracker consecutive-failure streaks, and the blacklist.
   FetchRetryPolicy retry;
   std::map<int, int> fetch_failure_streak;  // tracker host id -> streak
   std::set<int> blacklisted_trackers;
@@ -263,9 +262,9 @@ struct JobRuntime {
   bool tracker_blacklisted(int host_id) const {
     return blacklisted_trackers.contains(host_id);
   }
-  // A fetch from `host_id` timed out. Returns true when this crossed the
-  // blacklist threshold (the tracker is newly blacklisted).
-  bool report_fetch_failure(int host_id);
+  // A fetch from `host_id` timed out: extends its failure streak and
+  // blacklists the tracker at the threshold.
+  void report_fetch_failure(int host_id);
   // A fetch from `host_id` succeeded: resets its failure streak.
   void report_fetch_success(int host_id);
   // Guarantees maps[map_id].ran_on points at a non-blacklisted tracker,

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -12,6 +13,7 @@
 
 #include "common/conf.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "dataplane/kv.h"
 #include "dataplane/partitioner.h"
 
@@ -90,7 +92,7 @@ inline constexpr const char* kSpeculativeMinRuntimeSec =
 inline constexpr const char* kSpeculativeSlowFactor =
     "mapred.speculative.slow.factor";
 
-// Shuffle-fetch recovery (both engines; see mapred/recovery.h and
+// Shuffle-fetch recovery (both engines; see mapred/fetch_client.h and
 // docs/CONFIG.md). A fetch with no response within the timeout is
 // retried with capped exponential backoff; after N consecutive failures
 // the serving tracker is blacklisted and its map outputs are re-executed
@@ -214,7 +216,7 @@ struct JobResult {
   std::uint64_t speculative_kills = 0;  // race losers killed
   std::uint64_t speculative_cap_deferrals = 0;  // picks blocked by cap/slots
 
-  // Shuffle recovery counters (mapred/recovery.h).
+  // Shuffle recovery counters (mapred/fetch_client.h).
   std::uint64_t fetch_timeouts = 0;    // requests with no response in time
   std::uint64_t fetch_retries = 0;     // re-issued requests
   std::uint64_t trackers_blacklisted = 0;
@@ -292,6 +294,38 @@ struct IntegrityPolicy {
     p.disk_full_max_retries =
         int(conf.get_int(kDiskFullMaxRetries, p.disk_full_max_retries));
     return p;
+  }
+};
+
+// Resolved shuffle-fetch recovery knobs, one decode per job; applied by
+// mapred::FetchClient.
+struct FetchRetryPolicy {
+  double fetch_timeout = 60.0;   // seconds; 0 disables timeouts
+  int max_retries = 10;          // per request, before the job aborts
+  double backoff_base = 0.2;     // first retry delay, seconds
+  double backoff_max = 5.0;      // exponential growth cap, seconds
+  double backoff_jitter = 0.25;  // +[0, jitter) randomized fraction
+  int blacklist_threshold = 3;   // consecutive failures per tracker
+
+  static FetchRetryPolicy from_conf(const Conf& conf) {
+    FetchRetryPolicy p;
+    p.fetch_timeout = conf.get_double(kFetchTimeoutSec, p.fetch_timeout);
+    p.max_retries = int(conf.get_int(kFetchMaxRetries, p.max_retries));
+    p.backoff_base = conf.get_double(kFetchBackoffBaseSec, p.backoff_base);
+    p.backoff_max = conf.get_double(kFetchBackoffMaxSec, p.backoff_max);
+    p.backoff_jitter = conf.get_double(kFetchBackoffJitter, p.backoff_jitter);
+    p.blacklist_threshold =
+        int(conf.get_int(kBlacklistFailures, p.blacklist_threshold));
+    return p;
+  }
+
+  // Delay before retry number `attempt` (1-based): capped exponential
+  // with multiplicative jitter. Deterministic given the rng stream.
+  double backoff(int attempt, Rng& rng) const {
+    const double exponential =
+        backoff_base * std::pow(2.0, double(std::max(0, attempt - 1)));
+    const double capped = std::min(exponential, backoff_max);
+    return capped * (1.0 + backoff_jitter * rng.uniform());
   }
 };
 

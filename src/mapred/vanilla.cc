@@ -4,8 +4,8 @@
 
 #include "common/crc32.h"
 #include "dataplane/merger.h"
+#include "mapred/fetch_client.h"
 #include "mapred/integrity.h"
-#include "sim/fault.h"
 #include "sim/trace.h"
 
 namespace hmr::mapred {
@@ -72,14 +72,12 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   // coroutine and pending watchdog timers may outlive the reducer's
   // fetch phase. `lock` serializes request/response exchange — HTTP
   // keep-alive connections are not multiplexed — so only the lock
-  // holder ever reads `events`.
-  struct ConnState {
+  // holder ever reads the inbox.
+  struct ConnState : FetchInbox {
     explicit ConnState(sim::Engine& engine)
-        : events(engine, 64), lock(engine, 1, "copier.conn") {}
+        : FetchInbox(engine), lock(engine, 1, "copier.conn") {}
     std::unique_ptr<net::Socket> sock;
-    sim::Channel<FetchEvent> events;  // responses + watchdog expiries
     sim::Resource lock;
-    std::uint64_t timer_seq = 0;
   };
   std::map<int, std::shared_ptr<ConnState>> conns;  // by host id
 
@@ -92,6 +90,41 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   std::vector<Segment> in_mem;
   std::vector<Segment> on_disk;
   int spill_seq = 0;
+
+  // Writes `data` verified to the next `kind` spill file and records it
+  // as an on-disk segment of `modeled` bytes.
+  sim::Task<> spill(JobRuntime& job, const char* kind, Bytes data,
+                    std::uint64_t modeled) {
+    const std::string path = "shuffle/" + job.spec.name + "/r" +
+                             std::to_string(reduce_id) + "/" + kind +
+                             std::to_string(spill_seq++);
+    const Status written = co_await write_file_verified(
+        job, host, path, std::move(data), job.data_scale);
+    HMR_CHECK_MSG(written.ok(),
+                  "shuffle spill " + path + " failed: " + written.to_string());
+    on_disk.push_back(Segment{nullptr, path, modeled});
+  }
+
+  // K-way merges `sources`, charges merge CPU for `modeled` bytes, and
+  // spills the run. The drain is a parallel work event traced as
+  // `label`: it only touches the merger, the local writer, and
+  // work-local views.
+  sim::Task<> merge_and_spill(
+      JobRuntime& job,
+      std::vector<std::unique_ptr<dataplane::KvSource>> sources,
+      std::uint64_t modeled, std::string label, const char* kind) {
+    dataplane::StreamMerger merger(std::move(sources));
+    Bytes merged;
+    ByteWriter writer(&merged);
+    co_await job.engine.parallel(
+        host.id(), [&](sim::ParallelEffects& effects) {
+          dataplane::KvView kv;
+          while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
+          effects.instant(host.name(), "merge", label);
+        });
+    co_await job.charge_cpu(host, modeled, job.cost.merge_cpu_bw);
+    co_await spill(job, kind, std::move(merged), modeled);
+  }
 };
 
 sim::Task<> VanillaShuffleEngine::start(JobRuntime& job) {
@@ -139,31 +172,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
       continue;
     }
     const auto [map_id, reduce_id] = *decoded;
-    // Injected faults (sim/fault.h): a dead tracker's servlet stops
-    // answering; a faulty one drops or stalls individual responses.
-    // Copiers recover via timeout/retry/blacklist.
-    if (job.spec.faults != nullptr) {
-      sim::FaultPlan& faults = *job.spec.faults;
-      if (faults.tracker_dead(host_id, job.engine.now())) {
-        job.metric.fault_dropped_requests.add();
-        continue;
-      }
-      double stall_seconds = 0;
-      bool drop = false;
-      switch (faults.response_fate(host_id, &stall_seconds)) {
-        case sim::FaultPlan::ResponseFate::kDrop:
-          job.metric.fault_dropped_responses.add();
-          drop = true;
-          break;
-        case sim::FaultPlan::ResponseFate::kStall:
-          job.metric.fault_stalled_responses.add();
-          co_await job.engine.delay(stall_seconds);
-          break;
-        case sim::FaultPlan::ResponseFate::kDeliver:
-          break;
-      }
-      if (drop) continue;
-    }
+    if (!co_await serve_fault_fate(job, host_id)) continue;
     auto it = tracker.map_outputs.find({job.job_id, map_id});
     HMR_CHECK_MSG(it != tracker.map_outputs.end(),
                   "servlet asked for unknown map output");
@@ -178,7 +187,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     if (!view.ok()) {
       // The on-disk map output is unreadable past bounded recovery.
       // Drop the request: the copier's watchdog times out, blacklists
-      // this tracker, and re-executes the map (mapred/recovery.h).
+      // this tracker, and re-executes the map (mapred/fetch_client.h).
       job.metric.mapout_unserved.add();
       continue;
     }
@@ -212,38 +221,16 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
                                                   ReduceShuffleState& state) {
   auto lock = co_await sim::hold(state.merge_lock);
   if (state.in_mem.empty()) co_return;
-  std::vector<Segment> segments = std::move(state.in_mem);
-  state.in_mem.clear();
-  std::uint64_t modeled = state.in_mem_modeled;
-  state.in_mem_modeled = 0;
-
+  const std::vector<Segment> segments = std::exchange(state.in_mem, {});
+  const std::uint64_t modeled = std::exchange(state.in_mem_modeled, 0);
   // Merge in memory, then spill the merged run to local disk.
   std::vector<std::unique_ptr<dataplane::KvSource>> sources;
-  Bytes merged;
-  for (auto& segment : segments) {
+  for (const auto& segment : segments) {
     sources.push_back(std::make_unique<dataplane::BytesSource>(segment.data));
   }
-  dataplane::StreamMerger merger(std::move(sources));
-  ByteWriter writer(&merged);
-  // The k-way merge drain is a parallel work event: it only touches the
-  // merger, the local writer, and work-local views.
-  co_await job.engine.parallel(
-      state.host.id(), [&](sim::ParallelEffects& effects) {
-        dataplane::KvView kv;
-        while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-        effects.instant(state.host.name(), "merge",
-                        "in_mem_merge_r" + std::to_string(state.reduce_id));
-      });
-
-  co_await job.charge_cpu(state.host, modeled, job.cost.merge_cpu_bw);
-  const std::string path = "shuffle/" + job.spec.name + "/r" +
-                           std::to_string(state.reduce_id) + "/spill" +
-                           std::to_string(state.spill_seq++);
-  const Status written = co_await write_file_verified(
-      job, state.host, path, std::move(merged), job.data_scale);
-  HMR_CHECK_MSG(written.ok(),
-                "reduce-side spill failed: " + written.to_string());
-  state.on_disk.push_back(Segment{nullptr, path, modeled});
+  co_await state.merge_and_spill(
+      job, std::move(sources), modeled,
+      "in_mem_merge_r" + std::to_string(state.reduce_id), "spill");
 }
 
 sim::Task<> VanillaShuffleEngine::copier_loop(JobRuntime& job,
@@ -260,178 +247,116 @@ sim::Task<> VanillaShuffleEngine::copier_loop(JobRuntime& job,
   }
 }
 
-sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
-                                            ReduceShuffleState& state,
-                                            int map_id, Rng& rng) {
-  using ConnState = ReduceShuffleState::ConnState;
-  if (job.tracker_blacklisted(job.maps.at(map_id).ran_on)) {
-    // The serving tracker was blacklisted before this fetch started:
-    // wait for (or trigger) re-execution on a healthy tracker.
-    co_await job.ensure_fetchable(map_id);
-  }
-  int attempt = 0;
-  bool refetching = false;
-  while (true) {
+// The vanilla copier's side of a fetch. Before every attempt it dials
+// the map's current server (once per tracker, under the dial lock) and
+// takes that connection's lock, held only across send + wait.
+class VanillaShuffleEngine::CopierTransport final : public FetchTransport {
+ public:
+  CopierTransport(VanillaShuffleEngine& self, JobRuntime& job,
+                  ReduceShuffleState& state, int map_id)
+      : self_(self), job_(job), state_(state), map_id_(map_id) {}
+
+  double sent_at = 0.0;  // the last attempt's start: vanilla.fetch.rtt
+
+  sim::Task<std::shared_ptr<FetchInbox>> connect() override {
     // Abandon between exchanges once the reduce attempt is killed; an
     // in-flight request/response is bounded by the watchdog, so the
     // loser never parks past one fetch timeout here.
-    if (state.cancelled()) co_return;
-    const int server_host = job.maps.at(map_id).ran_on;
-
-    // Dial once per tracker; the pump turns socket deliveries into fetch
-    // events so a watchdog timer can race them.
-    std::shared_ptr<ConnState> conn;
+    if (state_.cancelled()) co_return nullptr;
+    server = job_.maps.at(map_id_).ran_on;
     {
-      auto dialing = co_await sim::hold(state.dial_lock);
-      auto it = state.conns.find(server_host);
-      if (it != state.conns.end()) {
-        conn = it->second;
+      // Dial once per tracker; the pump turns socket deliveries into
+      // fetch events so a watchdog timer can race them.
+      auto dialing = co_await sim::hold(state_.dial_lock);
+      auto it = state_.conns.find(server);
+      if (it != state_.conns.end()) {
+        conn_ = it->second;
       } else {
-        auto fresh = std::make_shared<ConnState>(state.engine);
-        fresh->sock = co_await net::connect(job.network, state.host,
-                                            *listeners_.at(server_host));
-        job.engine.spawn([](std::shared_ptr<ConnState> conn) -> sim::Task<> {
+        auto fresh = std::make_shared<ConnState>(state_.engine);
+        fresh->sock = co_await net::connect(job_.network, state_.host,
+                                            *self_.listeners_.at(server));
+        job_.engine.spawn([](std::shared_ptr<ConnState> conn) -> sim::Task<> {
           while (auto msg = co_await conn->sock->recv()) {
-            FetchEvent event;
-            event.msg = std::move(*msg);
-            // Sized so delivery never parks the pump: one outstanding
-            // request per connection plus bounded stale duplicates.
-            (void)conn->events.try_send(std::move(event));
+            (void)conn->events.try_send(FetchEvent{std::move(*msg)});
           }
         }(fresh));
-        state.conns.emplace(server_host, fresh);
-        conn = std::move(fresh);
+        state_.conns.emplace(server, fresh);
+        conn_ = std::move(fresh);
       }
     }
+    exchange_ = co_await sim::hold(conn_->lock);
+    sent_at = job_.engine.now();
+    co_return conn_;
+  }
 
-    // One request/response in flight per connection: only the lock
-    // holder reads the event channel.
-    auto exchange = co_await sim::hold(conn->lock);
-    const double sent_at = job.engine.now();
+  sim::Task<> send() override {
     net::Message request = net::Message::data(
-        encode_request(map_id, state.reduce_id), 1.0, kTagRequest);
+        encode_request(map_id_, state_.reduce_id), 1.0, kTagRequest);
     request.modeled_bytes = kRequestWireBytes;
-    job.metric.fetch_requests.add();
-    co_await conn->sock->send(std::move(request));
-    const std::uint64_t timer_id = ++conn->timer_seq;
-    if (job.retry.fetch_timeout > 0) {
-      job.engine.spawn(fetch_watchdog(job.engine, conn, conn->events,
-                                      job.retry.fetch_timeout, timer_id));
-    }
-    std::optional<net::Message> response;
-    while (true) {
-      auto event = co_await conn->events.recv();
-      HMR_CHECK(event.has_value());  // the events channel is never closed
-      if (event->msg.has_value()) {
-        HMR_CHECK(event->msg->tag == kTagResponse &&
-                  event->msg->payload != nullptr);
-        ByteReader r(*event->msg->payload);
-        const auto got_map = r.u32();
-        const auto got_reduce = r.u32();
-        if (!got_map.ok() || !got_reduce.ok()) {
-          // Response too short to even carry its match prefix: drop it
-          // like a stale duplicate; the watchdog covers the re-fetch.
-          job.metric.malformed_msgs.add();
-          continue;
-        }
-        if (int(*got_map) == map_id && int(*got_reduce) == state.reduce_id) {
-          const auto body_crc = r.u32();
-          if (!body_crc.ok()) {
-            job.metric.malformed_msgs.add();
-            continue;
-          }
-          if (job.integrity.enabled) {
-            // End-to-end check against the spill-time checksum; a frame
-            // that rotted in flight is dropped like any malformed
-            // message and the watchdog/retry path re-fetches it.
-            ByteReader body = r;
-            const auto rest = body.bytes(body.remaining());
-            HMR_CHECK(rest.ok());
-            co_await charge_verify_cpu(job, state.host,
-                                       event->msg->modeled_bytes);
-            std::uint32_t got_crc = 0;
-            co_await job.engine.parallel(
-                state.host.id(), [&](sim::ParallelEffects& effects) {
-                  got_crc = crc32c(*rest);
-                  effects.instant(state.host.name(), "crc",
-                                  "verify_crc_m" + std::to_string(map_id));
-                });
-            if (got_crc != *body_crc) {
-              job.metric.malformed_msgs.add();
-              continue;
-            }
-          }
-          response = std::move(event->msg);
-          break;
-        }
-        // Stale duplicate of a fetch some copier already retried.
-        job.metric.fetch_stale_dropped.add();
-        continue;
-      }
-      if (event->timer_id == timer_id) break;  // our watchdog fired
-      // Watchdog of an already-answered request: ignore.
-    }
-    exchange.release();
+    co_await conn_->sock->send(std::move(request));
+  }
 
-    if (!response.has_value()) {
-      ++attempt;
-      ++job.result.fetch_timeouts;
-      job.metric.fetch_timeouts.add();
-      if (auto* tracer = job.engine.tracer()) {
-        tracer->instant(state.host.name(), "fault",
-                        "fetch_timeout map_" + std::to_string(map_id));
-      }
-      HMR_CHECK_MSG(attempt <= job.retry.max_retries,
-                    "fetch of map " + std::to_string(map_id) + " exceeded " +
-                        kFetchMaxRetries);
-      (void)job.report_fetch_failure(server_host);
-      if (job.tracker_blacklisted(server_host)) {
-        co_await job.ensure_fetchable(map_id);
-        if (job.maps.at(map_id).ran_on != server_host) refetching = true;
-      } else {
-        co_await job.engine.delay(job.retry.backoff(attempt, rng));
-      }
-      ++job.result.fetch_retries;
-      job.metric.fetch_retries.add();
-      continue;
+  // Matched on the {map_id, reduce_id} prefix; the CRC covers the rest of
+  // the body, charged at the frame's modeled size.
+  FetchFrame decode(const net::Message& msg) const override {
+    HMR_CHECK(msg.tag == kTagResponse && msg.payload != nullptr);
+    ByteReader r(*msg.payload);
+    const auto got_map = r.u32();
+    const auto got_reduce = r.u32();
+    if (!got_map.ok() || !got_reduce.ok()) return {};  // malformed
+    if (int(*got_map) != map_id_ || int(*got_reduce) != state_.reduce_id) {
+      return {.kind = FetchFrame::Kind::kStale};
     }
+    const auto body_crc = r.u32();
+    if (!body_crc.ok()) return {};
+    return {FetchFrame::Kind::kMatch, true, *r.bytes(r.remaining()),
+            *body_crc, msg.modeled_bytes};
+  }
 
-    job.report_fetch_success(server_host);
-    fetch_rtt_->record(job.engine.now() - sent_at);
-    const std::uint64_t modeled = response->modeled_bytes;
-    job.result.shuffled_modeled_bytes += modeled;
-    if (refetching) job.result.refetched_modeled_bytes += modeled;
-    Segment segment;
-    // Strip the {map_id, reduce_id} match prefix: merge sources must see
-    // clean kv data.
-    segment.data = std::make_shared<const Bytes>(
-        response->payload->begin() + kResponsePrefixBytes,
-        response->payload->end());
-    segment.modeled = modeled;
+  void release() override { exchange_.release(); }
 
-    if (modeled > state.budget / 4) {
-      // Too big for the in-memory buffer: straight to disk (Copier
-      // behaviour for oversized map outputs).
-      const std::string path = "shuffle/" + job.spec.name + "/r" +
-                               std::to_string(state.reduce_id) + "/big" +
-                               std::to_string(state.spill_seq++);
-      Bytes body(*segment.data);
-      const Status written = co_await write_file_verified(
-          job, state.host, path, std::move(body), job.data_scale);
-      HMR_CHECK_MSG(written.ok(),
-                    "oversized-segment spill failed: " + written.to_string());
-      segment.data = nullptr;
-      segment.disk_path = path;
-      state.on_disk.push_back(std::move(segment));
-      co_return;
-    }
+ private:
+  using ConnState = ReduceShuffleState::ConnState;
 
-    state.in_mem.push_back(std::move(segment));
-    state.in_mem_modeled += modeled;
-    if (state.in_mem_modeled > (state.budget * 2) / 3) {
-      co_await in_memory_merge(job, state);
-    }
+  VanillaShuffleEngine& self_;
+  JobRuntime& job_;
+  ReduceShuffleState& state_;
+  int map_id_;
+  std::shared_ptr<ConnState> conn_;
+  sim::ResourceHold exchange_;  // the connection lock
+};
+
+sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
+                                            ReduceShuffleState& state,
+                                            int map_id, Rng& rng) {
+  CopierTransport transport(*this, job, state, map_id);
+  FetchClient client(job, state.host, map_id, rng);
+  co_await client.start(transport);
+  auto response = co_await client.fetch(transport);
+  if (!response.has_value()) co_return;  // the reduce attempt was killed
+  fetch_rtt_->record(job.engine.now() - transport.sent_at);
+  const std::uint64_t modeled = response->modeled_bytes;
+  job.result.shuffled_modeled_bytes += modeled;
+  if (client.refetching()) job.result.refetched_modeled_bytes += modeled;
+  Segment segment;
+  // Strip the {map_id, reduce_id} match prefix: merge sources must see
+  // clean kv data.
+  segment.data = std::make_shared<const Bytes>(
+      response->payload->begin() + kResponsePrefixBytes,
+      response->payload->end());
+  segment.modeled = modeled;
+
+  if (modeled > state.budget / 4) {
+    // Too big for the in-memory buffer: straight to disk (Copier
+    // behaviour for oversized map outputs).
+    co_await state.spill(job, "big", Bytes(*segment.data), modeled);
     co_return;
+  }
+
+  state.in_mem.push_back(std::move(segment));
+  state.in_mem_modeled += modeled;
+  if (state.in_mem_modeled > (state.budget * 2) / 3) {
+    co_await in_memory_merge(job, state);
   }
 }
 
@@ -519,29 +444,12 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       sources.push_back(std::make_unique<dataplane::BytesSource>(view->data));
       modeled += segment.modeled;
     }
-    dataplane::StreamMerger merger(std::move(sources));
-    Bytes merged;
-    ByteWriter writer(&merged);
-    // Merge-pass drain as a parallel work event, like in_memory_merge.
-    co_await job.engine.parallel(
-        host.id(), [&](sim::ParallelEffects& effects) {
-          dataplane::KvView kv;
-          while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-          effects.instant(host.name(), "merge",
-                          "merge_pass_r" + std::to_string(reduce_id));
-        });
-    co_await job.charge_cpu(host, modeled, job.cost.merge_cpu_bw);
-    const std::string path = "shuffle/" + job.spec.name + "/r" +
-                             std::to_string(reduce_id) + "/pass" +
-                             std::to_string(state.spill_seq++);
-    const Status written = co_await write_file_verified(
-        job, host, path, std::move(merged), job.data_scale);
-    HMR_CHECK_MSG(written.ok(),
-                  "merge-pass spill failed: " + written.to_string());
+    co_await state.merge_and_spill(job, std::move(sources), modeled,
+                                   "merge_pass_r" + std::to_string(reduce_id),
+                                   "pass");
     for (const auto& segment : group) {
       HMR_CHECK(host.fs().remove(segment.disk_path).ok());
     }
-    state.on_disk.push_back(Segment{nullptr, path, modeled});
   }
 
   // Final merge: disk segments (read back) + memory remainder, streamed

@@ -6,7 +6,6 @@
 // series in every figure.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -37,6 +36,7 @@ class VanillaShuffleEngine final : public ShuffleEngine {
     std::uint64_t modeled = 0;
   };
   struct ReduceShuffleState;
+  class CopierTransport;  // the vanilla half of a mapred::FetchClient fetch
 
   sim::Task<> servlet_accept_loop(JobRuntime& job, net::Listener& listener,
                                   int host_id);
@@ -45,8 +45,8 @@ class VanillaShuffleEngine final : public ShuffleEngine {
                                 int host_id);
   sim::Task<> copier_loop(JobRuntime& job, ReduceShuffleState& state,
                           int copier_id);
-  // Fetches one map's partition with timeout/retry/blacklist recovery
-  // (mapred/recovery.h) and stores it in memory or on disk.
+  // Fetches one map's partition through a FetchClient (timeout/retry/
+  // blacklist recovery) and stores it in memory or on disk.
   sim::Task<> fetch_one(JobRuntime& job, ReduceShuffleState& state,
                         int map_id, Rng& rng);
   sim::Task<> in_memory_merge(JobRuntime& job, ReduceShuffleState& state);

@@ -5,8 +5,7 @@
 #include "common/crc32.h"
 #include "dataplane/merger.h"
 #include "mapred/integrity.h"
-#include "mapred/recovery.h"
-#include "sim/fault.h"
+#include "mapred/fetch_client.h"
 #include "sim/trace.h"
 
 namespace hmr::rdmashuffle {
@@ -156,28 +155,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
                                        TrackerService& service, int host_id,
                                        PendingRequest pending) {
   const DataRequest& req = pending.request;
-  // Injected faults (sim/fault.h): a dead tracker's shuffle service stops
-  // answering entirely; a faulty one drops or stalls individual
-  // responses. Copiers recover via timeout/retry/blacklist.
-  if (job.spec.faults != nullptr) {
-    sim::FaultPlan& faults = *job.spec.faults;
-    if (faults.tracker_dead(host_id, job.engine.now())) {
-      job.metric.fault_dropped_requests.add();
-      co_return;
-    }
-    double stall_seconds = 0;
-    switch (faults.response_fate(host_id, &stall_seconds)) {
-      case sim::FaultPlan::ResponseFate::kDrop:
-        job.metric.fault_dropped_responses.add();
-        co_return;
-      case sim::FaultPlan::ResponseFate::kStall:
-        job.metric.fault_stalled_responses.add();
-        co_await job.engine.delay(stall_seconds);
-        break;
-      case sim::FaultPlan::ResponseFate::kDeliver:
-        break;
-    }
-  }
+  if (!co_await mapred::serve_fault_fate(job, host_id)) co_return;
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
   auto it = tracker.map_outputs.find({int(req.job_id), int(req.map_id)});
   HMR_CHECK_MSG(it != tracker.map_outputs.end(),
@@ -229,7 +207,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
       // The on-disk map output is unreadable past bounded recovery
       // (at-rest rot or a persistent IO fault). Drop the request: the
       // copier's watchdog times out, blacklists this tracker, and
-      // re-executes the map on a healthy one (mapred/recovery.h).
+      // re-executes the map on a healthy one (mapred/fetch_client.h).
       job.metric.mapout_unserved.add();
       co_return;
     }
@@ -353,51 +331,97 @@ void RdmaShuffleEngine::on_map_finished(JobRuntime& job, int map_id,
 // ReduceTask side: RdmaCopier + streaming priority-queue merge
 // ---------------------------------------------------------------------
 
-sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
-    JobRuntime& job, Host& host, std::shared_ptr<CopierState> state,
-    int server) {
-  // Connect once per TaskTracker (guarded against concurrent dials).
-  auto lock = co_await sim::hold(state->conn_lock);
-  auto it = state->conns.find(server);
-  if (it != state->conns.end()) co_return it->second;
-  auto ep = co_await ucr::connect(job.network, host,
-                                  *services_.at(server)->listener,
-                                  options_.ucr);
-  ucr::Endpoint* endpoint = ep.get();
-  state->conns.emplace(server, endpoint);
-  client_endpoints_.push_back(std::move(ep));
-  // Response router for this connection: demultiplexes onto the per-map
-  // stream event channels. A response for an unrouted map is a stale
-  // duplicate of a request its copier already gave up on — dropped, not
-  // fatal (faults can stall responses past the stream's lifetime).
-  daemons_->add();
-  job.engine.spawn([](RdmaShuffleEngine& self, JobRuntime& job,
-                      ucr::Endpoint& ep,
-                      std::shared_ptr<CopierState> state) -> sim::Task<> {
-    while (auto msg = co_await ep.recv()) {
-      HMR_CHECK(msg->tag == kTagDataResponse);
-      ByteReader r(*msg->payload);
-      const auto header = DataResponse::decode_header(r);
-      if (!header.ok()) {
-        job.metric.malformed_msgs.add();
-        continue;
-      }
-      auto route = state->routes.find(int(header->map_id));
-      if (route == state->routes.end()) {
-        job.metric.fetch_stale_dropped.add();
-        continue;
-      }
-      mapred::FetchEvent event;
-      event.msg = std::move(*msg);
-      // The events channel is sized so delivery never parks the router:
-      // each stream has at most one outstanding request plus a bounded
-      // number of stale duplicates and watchdog markers.
-      HMR_CHECK(route->second->events.try_send(std::move(event)));
+// The RDMA copier's side of a fetch: requests go out on the reducer's
+// endpoint to the map's server, whose response router delivers answers
+// into the map stream's inbox.
+class RdmaShuffleEngine::CopierTransport final
+    : public mapred::FetchTransport {
+ public:
+  CopierTransport(RdmaShuffleEngine& self, JobRuntime& job, Host& host,
+                  const std::shared_ptr<CopierState>& state,
+                  const std::shared_ptr<MapStream>& stream)
+      : self_(self), job_(job), host_(host), state_(state), stream_(stream) {}
+
+  DataRequest request;  // the chunk every attempt asks for
+
+  sim::Task<std::shared_ptr<mapred::FetchInbox>> connect() override {
+    co_return stream_;
+  }
+
+  sim::Task<> send() override {
+    co_await endpoint_->send(
+        net::Message::data(request.encode(), 1.0, kTagDataRequest)
+            .with_modeled(kRequestWireBytes));
+  }
+
+  // Matched on the cursor; the CRC covers the chunk's records, charged
+  // at their modeled size. Empty chunks carry nothing to verify.
+  mapred::FetchFrame decode(const net::Message& msg) const override {
+    ByteReader r(*msg.payload);
+    const auto header = DataResponse::decode_header(r);
+    if (!header.ok() || r.remaining() < header->chunk_real_bytes) {
+      return {};  // malformed header or short body
     }
-    self.daemons_->done();
-  }(*this, job, *endpoint, state));
-  co_return endpoint;
-}
+    if (header->cursor_real != request.cursor_real) {
+      return {.kind = mapred::FetchFrame::Kind::kStale};
+    }
+    return {mapred::FetchFrame::Kind::kMatch, header->chunk_real_bytes > 0,
+            *r.bytes(header->chunk_real_bytes), header->chunk_crc,
+            static_cast<std::uint64_t>(double(header->chunk_real_bytes) *
+                                       job_.data_scale)};
+  }
+
+  // Connects once per TaskTracker (guarded against concurrent dials).
+  sim::Task<> relocate(int to) override {
+    server = to;
+    auto lock = co_await sim::hold(state_->conn_lock);
+    auto it = state_->conns.find(to);
+    if (it != state_->conns.end()) {
+      endpoint_ = it->second;
+      co_return;
+    }
+    auto ep = co_await ucr::connect(job_.network, host_,
+                                    *self_.services_.at(to)->listener,
+                                    self_.options_.ucr);
+    endpoint_ = ep.get();
+    state_->conns.emplace(to, endpoint_);
+    self_.client_endpoints_.push_back(std::move(ep));
+    // Response router for this connection: demultiplexes onto the
+    // per-map stream inboxes. A response for an unrouted map is a stale
+    // duplicate of a request its copier already gave up on — dropped,
+    // not fatal (faults can stall responses past the stream's lifetime).
+    self_.daemons_->add();
+    job_.engine.spawn([](RdmaShuffleEngine& self, JobRuntime& job,
+                         ucr::Endpoint& ep,
+                         std::shared_ptr<CopierState> state) -> sim::Task<> {
+      while (auto msg = co_await ep.recv()) {
+        HMR_CHECK(msg->tag == kTagDataResponse);
+        ByteReader r(*msg->payload);
+        const auto header = DataResponse::decode_header(r);
+        if (!header.ok()) {
+          job.metric.malformed_msgs.add();
+          continue;
+        }
+        auto route = state->routes.find(int(header->map_id));
+        if (route == state->routes.end()) {
+          job.metric.fetch_stale_dropped.add();
+          continue;
+        }
+        HMR_CHECK(route->second->events.try_send(
+            mapred::FetchEvent{std::move(*msg)}));
+      }
+      self.daemons_->done();
+    }(self_, job_, *endpoint_, state_));
+  }
+
+ private:
+  RdmaShuffleEngine& self_;
+  JobRuntime& job_;
+  Host& host_;
+  const std::shared_ptr<CopierState>& state_;
+  const std::shared_ptr<MapStream>& stream_;
+  ucr::Endpoint* endpoint_ = nullptr;
+};
 
 sim::Task<> RdmaShuffleEngine::copier_driver(
     JobRuntime& job, int reduce_id, Host& host,
@@ -412,125 +436,12 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     done.done();
     co_return;
   }
-  if (job.tracker_blacklisted(job.maps.at(map_id).ran_on)) {
-    // The serving tracker was blacklisted before this stream started:
-    // wait for (or trigger) re-execution on a healthy tracker.
-    co_await job.ensure_fetchable(map_id);
-  }
-  int server = job.maps.at(map_id).ran_on;
-  ucr::Endpoint* endpoint =
-      co_await ensure_client_endpoint(job, host, state, server);
   auto rng = job.engine.make_rng("shuffle.retry.r" +
                                  std::to_string(reduce_id) + ".m" +
                                  std::to_string(map_id));
-  bool refetching = false;
-
-  // One request/response exchange for this stream. Stale duplicates
-  // (cursor mismatch) are discarded; nullopt means the watchdog fired
-  // before the matching response arrived.
-  auto exchange =
-      [&](const DataRequest& req) -> sim::Task<std::optional<net::Message>> {
-    Bytes wire = req.encode();
-    net::Message request =
-        net::Message::data(std::move(wire), 1.0, kTagDataRequest)
-            .with_modeled(kRequestWireBytes);
-    job.metric.fetch_requests.add();
-    co_await endpoint->send(std::move(request));
-    const std::uint64_t timer_id = ++stream->timer_seq;
-    if (job.retry.fetch_timeout > 0) {
-      job.engine.spawn(mapred::fetch_watchdog(job.engine, stream,
-                                              stream->events,
-                                              job.retry.fetch_timeout,
-                                              timer_id));
-    }
-    while (true) {
-      auto event = co_await stream->events.recv();
-      HMR_CHECK(event.has_value());  // the events channel is never closed
-      if (event->msg.has_value()) {
-        ByteReader r(*event->msg->payload);
-        const auto header = DataResponse::decode_header(r);
-        if (!header.ok() || r.remaining() < header->chunk_real_bytes) {
-          // Malformed header or short body: drop it like a stale
-          // duplicate and let the watchdog/retry path re-fetch.
-          job.metric.malformed_msgs.add();
-          continue;
-        }
-        if (header->cursor_real == req.cursor_real) {
-          if (job.integrity.enabled && header->chunk_real_bytes > 0) {
-            // End-to-end check: the chunk CRC was computed from the
-            // spill-time segment checksums; recompute over the received
-            // body and drop the frame on mismatch (the watchdog/retry
-            // path re-fetches it, like any malformed message).
-            ByteReader body = r;
-            const auto records = body.bytes(header->chunk_real_bytes);
-            HMR_CHECK(records.ok());
-            co_await mapred::charge_verify_cpu(
-                job, host,
-                static_cast<std::uint64_t>(
-                    double(header->chunk_real_bytes) * job.data_scale));
-            std::uint32_t got_crc = 0;
-            co_await job.engine.parallel(
-                host.id(), [&](sim::ParallelEffects& effects) {
-                  got_crc = crc32c(*records);
-                  effects.instant(host.name(), "crc",
-                                  "verify_crc_m" + std::to_string(req.map_id));
-                });
-            if (got_crc != header->chunk_crc) {
-              job.metric.malformed_msgs.add();
-              continue;
-            }
-          }
-          co_return std::move(event->msg);
-        }
-        job.metric.fetch_stale_dropped.add();
-        continue;
-      }
-      if (event->timer_id == timer_id) co_return std::nullopt;
-      // Watchdog of an already-answered request: ignore.
-    }
-  };
-
-  // exchange() with recovery: capped exponential backoff between
-  // retries; once the serving tracker crosses the blacklist threshold
-  // the fetch relocates to a re-executed attempt and resumes from the
-  // SAME cursor — deterministic map execution makes the rerun's
-  // partition byte-identical, so no delivered chunk is ever re-merged.
-  auto exchange_with_retry =
-      [&](const DataRequest& req) -> sim::Task<net::Message> {
-    int attempt = 0;
-    while (true) {
-      auto response = co_await exchange(req);
-      if (response.has_value()) {
-        job.report_fetch_success(server);
-        co_return std::move(*response);
-      }
-      ++attempt;
-      ++job.result.fetch_timeouts;
-      job.metric.fetch_timeouts.add();
-      if (auto* tracer = job.engine.tracer()) {
-        tracer->instant(host.name(), "fault",
-                        "fetch_timeout map_" + std::to_string(map_id));
-      }
-      HMR_CHECK_MSG(attempt <= job.retry.max_retries,
-                    "fetch of map " + std::to_string(map_id) +
-                        " exceeded " + mapred::kFetchMaxRetries);
-      (void)job.report_fetch_failure(server);
-      if (job.tracker_blacklisted(server)) {
-        co_await job.ensure_fetchable(map_id);
-        const int relocated = job.maps.at(map_id).ran_on;
-        if (relocated != server) {
-          server = relocated;
-          endpoint =
-              co_await ensure_client_endpoint(job, host, state, server);
-          refetching = true;
-        }
-      } else {
-        co_await job.engine.delay(job.retry.backoff(attempt, rng));
-      }
-      ++job.result.fetch_retries;
-      job.metric.fetch_retries.add();
-    }
-  };
+  CopierTransport transport(*this, job, host, state, stream);
+  mapred::FetchClient client(job, host, map_id, rng);
+  co_await client.start(transport);
 
   state->routes.emplace(map_id, stream.get());
   std::uint64_t cursor = 0;
@@ -582,38 +493,37 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
       charged = state->mem.try_acquire(std::int64_t(charge));
     }
 
-    DataRequest req;
-    req.job_id = std::uint32_t(job.job_id);
-    req.map_id = std::uint32_t(map_id);
-    req.reduce_id = std::uint32_t(reduce_id);
-    req.cursor_real = cursor;
-    // kv-count budgets are in real-world pairs; each carried pair
-    // stands for kv_inflation of them (mapred::kKvInflation).
-    req.max_pairs = count_budget;
-    req.max_real_bytes = max_real_bytes;
+    transport.request = DataRequest{
+        .job_id = std::uint32_t(job.job_id),
+        .map_id = std::uint32_t(map_id),
+        .reduce_id = std::uint32_t(reduce_id),
+        .cursor_real = cursor,
+        // kv-count budgets are in real-world pairs; each carried pair
+        // stands for kv_inflation of them (mapred::kKvInflation).
+        .max_pairs = count_budget,
+        .max_real_bytes = max_real_bytes,
+    };
     const double rt0 = job.engine.now();
-    net::Message response = co_await exchange_with_retry(req);
+    // The RDMA transport never abandons a fetch: cancellation is checked
+    // between chunks, above.
+    auto response = co_await client.fetch(transport);
     if (!charged) {
       // Over-budget segment: the merge had no room to keep this
       // buffer resident, so an earlier delivery was dropped and the
       // packet is fetched again now that the merge demands it —
       // the levitated-merge thrash of fixed-count buffers (§IV-C).
-      net::Message again = co_await exchange_with_retry(req);
-      response = std::move(again);
+      response = co_await client.fetch(transport);
     }
     metric_->fetch_rtt.record(job.engine.now() - rt0);
-    ByteReader r(*response.payload);
-    // exchange() only returns messages whose header decoded and whose
-    // body length checked out, so failure here is an engine bug.
-    const auto decoded = DataResponse::decode_header(r);
-    HMR_CHECK(decoded.ok());
-    const DataResponse& header = *decoded;
-    auto records = r.bytes(header.chunk_real_bytes);
-    HMR_CHECK(records.ok());
-    auto pairs = dataplane::decode_run(records.value());
+    // decode() matched only a well-formed frame, so these checked
+    // dereferences cannot fail.
+    HMR_CHECK(response.has_value());
+    ByteReader r(*response->payload);
+    const DataResponse header = *DataResponse::decode_header(r);
+    auto pairs = dataplane::decode_run(*r.bytes(header.chunk_real_bytes));
     HMR_CHECK(pairs.ok());
     cursor += header.chunk_real_bytes;
-    if (refetching) {
+    if (client.refetching()) {
       job.result.refetched_modeled_bytes += static_cast<std::uint64_t>(
           double(header.chunk_real_bytes) * job.data_scale);
     }

@@ -29,6 +29,7 @@
 #include <set>
 
 #include "dataplane/cache.h"
+#include "mapred/fetch_client.h"
 #include "mapred/runtime.h"
 #include "rdmashuffle/protocol.h"
 #include "ucr/endpoint.h"
@@ -126,15 +127,13 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     std::vector<dataplane::KvPair> pairs;
     std::uint64_t mem_charge = 0;
   };
-  // Per-map reduce-side stream state. Shared-owned because watchdog
-  // timers may still be pending after the driver finished.
-  struct MapStream {
+  // Per-map reduce-side stream state; its inbox receives the responses
+  // routed by map id. Shared-owned because watchdog timers may still be
+  // pending after the driver finished.
+  struct MapStream : mapred::FetchInbox {
     explicit MapStream(sim::Engine& engine)
-        : events(engine, 64), chunks(engine, 2), demand(engine) {}
-    // Responses (routed by map id) interleaved with watchdog expiries.
-    sim::Channel<mapred::FetchEvent> events;
+        : FetchInbox(engine), chunks(engine, 2), demand(engine) {}
     sim::Channel<StreamChunk> chunks;
-    std::uint64_t timer_seq = 0;  // id of the current request's watchdog
     // Set by the kill watcher when the reduce attempt loses its race:
     // the driver abandons between exchanges and closes its chunk queue.
     bool cancelled = false;
@@ -179,13 +178,10 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   // Serves one request: cache lookup / disk read / chunk extraction.
   sim::Task<> respond(JobRuntime& job, TrackerService& service, int host_id,
                       PendingRequest pending);
-  // Dials (once per tracker) and returns the reducer's endpoint to
-  // `server`, spawning the response router on first connect.
-  sim::Task<ucr::Endpoint*> ensure_client_endpoint(
-      JobRuntime& job, Host& host, std::shared_ptr<CopierState> state,
-      int server);
-  // RdmaCopier: fetches one map's partition chunk by chunk with
-  // timeout/retry/blacklist recovery, feeding the stream's chunk queue.
+  class CopierTransport;  // the RDMA half of a mapred::FetchClient fetch
+  // RdmaCopier: fetches one map's partition chunk by chunk through a
+  // FetchClient (timeout/retry/blacklist recovery), feeding the stream's
+  // chunk queue.
   sim::Task<> copier_driver(JobRuntime& job, int reduce_id, Host& host,
                             std::shared_ptr<CopierState> state,
                             std::shared_ptr<MapStream> stream, int map_id,

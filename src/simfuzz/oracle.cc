@@ -163,15 +163,12 @@ std::string job_result_json(const mapred::JobResult& job) {
 }
 
 EngineRun run_engine(const Scenario& scenario, const std::string& engine,
-                     sim::EventQueue::Impl queue_impl, int parallel_workers) {
+                     sim::EventQueue::Impl queue_impl) {
   EngineRun run;
   run.engine = engine;
 
   ScenarioSetup setup = scenario_setup(scenario, engine);
   setup.bed_spec.queue_impl = queue_impl;
-  if (parallel_workers >= 1) {
-    setup.bed_spec.parallel_workers = parallel_workers;
-  }
   workloads::Testbed bed(setup.bed_spec);
   auto digest = bed.generate(setup.terasort ? "teragen" : "randomwriter",
                              setup.gen);
@@ -374,50 +371,45 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
               (unsigned long long)budget));
     }
   }
+  // Counters that must stay zero while no `what`faults are injected.
+  const auto require_zero = [&](const char* oracle, const char* what,
+                                std::initializer_list<const char*> names) {
+    for (const char* name : names) {
+      if (counter(name) != 0) {
+        add(verdict, oracle, e,
+            fmt("%s = %lld with no %sfaults injected", name,
+                (long long)counter(name), what));
+      }
+    }
+  };
   if (!scenario.has_shuffle_faults()) {
     // A healthy fabric must look healthy: any nonzero fault counter means
     // an engine misattributed ordinary traffic to the fault machinery.
-    for (const char* name :
-         {"shuffle.fault.dropped_requests", "shuffle.fault.dropped_responses",
-          "shuffle.fault.stalled_responses"}) {
-      if (counter(name) != 0) {
-        add(verdict, "conservation.healthy_fabric", e,
-            fmt("%s = %lld with no faults injected", name,
-                (long long)counter(name)));
-      }
-    }
+    require_zero("conservation.healthy_fabric", "",
+                 {"shuffle.fault.dropped_requests",
+                  "shuffle.fault.dropped_responses",
+                  "shuffle.fault.stalled_responses"});
   }
   if (!scenario.has_shuffle_faults() && !scenario.has_disk_faults()) {
     // The fetch-recovery ladder can legitimately fire under disk faults
     // too (an unreadable map output is dropped and re-fetched), so its
     // zero-check needs both fault classes absent.
-    for (const char* name :
-         {"shuffle.fetch.timeouts", "shuffle.trackers.blacklisted",
-          "shuffle.refetch.reruns"}) {
-      if (counter(name) != 0) {
-        add(verdict, "conservation.healthy_fabric", e,
-            fmt("%s = %lld with no faults injected", name,
-                (long long)counter(name)));
-      }
-    }
+    require_zero("conservation.healthy_fabric", "",
+                 {"shuffle.fetch.timeouts", "shuffle.trackers.blacklisted",
+                  "shuffle.refetch.reruns"});
   }
   if (!scenario.has_disk_faults()) {
     // Healthy disks must look healthy: the integrity machinery may only
     // act when storage faults are actually injected.
-    for (const char* name :
-         {"storage.io.errors", "storage.io.corrupt_reads",
-          "storage.io.corrupt_writes", "storage.io.full_rejections",
-          "storage.io.retries", "storage.corrupt.rereads",
-          "storage.spill.rewrites", "storage.disk_full.events",
-          "storage.mapout.unserved", "integrity.checksum.mismatches",
-          "cache.integrity.evictions", "cache.pressure.evictions",
-          "hdfs.replica.failovers", "hdfs.read.checksum_mismatches"}) {
-      if (counter(name) != 0) {
-        add(verdict, "conservation.healthy_disks", e,
-            fmt("%s = %lld with no disk faults injected", name,
-                (long long)counter(name)));
-      }
-    }
+    require_zero(
+        "conservation.healthy_disks", "disk ",
+        {"storage.io.errors", "storage.io.corrupt_reads",
+         "storage.io.corrupt_writes", "storage.io.full_rejections",
+         "storage.io.retries", "storage.corrupt.rereads",
+         "storage.spill.rewrites", "storage.disk_full.events",
+         "storage.mapout.unserved", "integrity.checksum.mismatches",
+         "cache.integrity.evictions", "cache.pressure.evictions",
+         "hdfs.replica.failovers", "hdfs.read.checksum_mismatches"});
   }
 }
 
@@ -550,73 +542,98 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   }
 }
 
-void check_queue_equivalence(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict) {
-  const EngineRun legacy = run_engine(
-      scenario, ref.engine, sim::EventQueue::Impl::kLegacyBinaryHeap);
-  if (legacy.result_json != ref.result_json) {
-    add(verdict, "queue.result_identity", ref.engine,
-        "legacy binary-heap replay produced a different serialized "
-        "JobResult than the 4-ary queue");
-  }
-}
+namespace {
 
-void check_speculation_identity(const Scenario& scenario,
-                                const EngineRun& ref, Verdict* verdict) {
-  if (!scenario.speculative) return;
-  // Same seed, same fault plan, same conf except the two speculation
-  // switches: the replay's FaultPlan RNG stream is untouched by
-  // speculation (compute faults are pure (host, time) queries), so the
-  // two runs see identical injected faults.
-  Scenario twin = scenario;
-  twin.speculative = false;
-  const EngineRun off = run_engine(twin, ref.engine);
-  if (off.output_present != ref.output_present) {
-    add(verdict, "speculation.result_identity", ref.engine,
-        fmt("output %s with speculation, %s without",
-            ref.output_present ? "present" : "missing",
-            off.output_present ? "present" : "missing"));
+// The opposite pool width: parallel scenarios replay serially (the
+// reference semantics), serial ones on 2 workers, so EVERY scenario
+// compares real worker threads against the serial engine.
+int twin_workers(const Scenario& s) { return s.parallel_workers > 1 ? 1 : 2; }
+
+constexpr ReplayOracle kReplayOracles[] = {
+    // Both queues implement the same (timestamp, seq) total order, so
+    // ANY divergence is a queue bug, not a modeling change.
+    {"queue.result_identity", [](const Scenario&) { return true; },
+     [](Scenario s) { return s; }, sim::EventQueue::Impl::kLegacyBinaryHeap,
+     ReplayMatch::kResultJson,
+     [](const Scenario&) -> std::string {
+       return "legacy binary-heap replay produced a different serialized "
+              "JobResult than the 4-ary queue";
+     }},
+    // Divergence means a parallel fn broke the host-independence contract
+    // (sim/parallel.h) or the staging drain reordered effects.
+    {"engine.parallel_identity", [](const Scenario&) { return true; },
+     [](Scenario s) {
+       s.parallel_workers = twin_workers(s);
+       return s;
+     },
+     sim::EventQueue::Impl::kFourAry, ReplayMatch::kResultJson,
+     [](const Scenario& s) {
+       return fmt("replay at sim.parallel.workers=%d produced a different "
+                  "serialized JobResult than workers=%d",
+                  twin_workers(s), s.parallel_workers);
+     }},
+    // First commit wins and the loser's output is discarded, so backups
+    // may change *when* a task finishes, never *what* the job writes.
+    // Compute faults are pure (host, time) queries: both runs see the
+    // same injected faults.
+    {"speculation.result_identity",
+     [](const Scenario& s) { return s.speculative; },
+     [](Scenario s) {
+       s.speculative = false;
+       return s;
+     },
+     sim::EventQueue::Impl::kFourAry, ReplayMatch::kOutputContent,
+     [](const Scenario&) -> std::string { return "speculation"; }},
+    {"determinism.job_result",
+     [](const Scenario& s) { return s.check_determinism; },
+     [](Scenario s) { return s; }, sim::EventQueue::Impl::kFourAry,
+     ReplayMatch::kResultJson,
+     [](const Scenario&) -> std::string {
+       return "re-run produced a different serialized JobResult";
+     }},
+};
+
+}  // namespace
+
+std::span<const ReplayOracle> replay_oracles() { return kReplayOracles; }
+
+void compare_replay(const ReplayOracle& oracle, const Scenario& scenario,
+                    const EngineRun& ref, const EngineRun& twin,
+                    Verdict* verdict) {
+  const std::string detail = oracle.describe(scenario);
+  if (oracle.match == ReplayMatch::kResultJson) {
+    if (twin.result_json != ref.result_json) {
+      add(verdict, oracle.id, ref.engine, detail);
+    }
+    return;
+  }
+  const char* knob = detail.c_str();
+  if (twin.output_present != ref.output_present) {
+    add(verdict, oracle.id, ref.engine,
+        fmt("output %s with %s, %s without",
+            ref.output_present ? "present" : "missing", knob,
+            twin.output_present ? "present" : "missing"));
     return;
   }
   if (!ref.output_present) return;
-  if (off.validation.digest != ref.validation.digest) {
-    add(verdict, "speculation.result_identity", ref.engine,
-        fmt("records %llu/checksum %016llx with speculation vs "
-            "%llu/%016llx without",
+  if (twin.validation.digest != ref.validation.digest) {
+    add(verdict, oracle.id, ref.engine,
+        fmt("records %llu/checksum %016llx with %s vs %llu/%016llx without",
             (unsigned long long)ref.validation.digest.records,
-            (unsigned long long)ref.validation.digest.checksum,
-            (unsigned long long)off.validation.digest.records,
-            (unsigned long long)off.validation.digest.checksum));
+            (unsigned long long)ref.validation.digest.checksum, knob,
+            (unsigned long long)twin.validation.digest.records,
+            (unsigned long long)twin.validation.digest.checksum));
   }
-  if (off.validation.per_part_sorted != ref.validation.per_part_sorted ||
-      off.validation.globally_sorted != ref.validation.globally_sorted) {
-    add(verdict, "speculation.result_identity", ref.engine,
-        "sort-order validation diverged between speculation on and off");
+  if (twin.validation.per_part_sorted != ref.validation.per_part_sorted ||
+      twin.validation.globally_sorted != ref.validation.globally_sorted) {
+    add(verdict, oracle.id, ref.engine,
+        fmt("sort-order validation diverged between %s on and off", knob));
   }
-  if (off.job.output_records != ref.job.output_records) {
-    add(verdict, "speculation.result_identity", ref.engine,
-        fmt("JobResult output_records %llu with speculation vs %llu without",
-            (unsigned long long)ref.job.output_records,
-            (unsigned long long)off.job.output_records));
-  }
-}
-
-void check_parallel_identity(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict) {
-  // Replay at the opposite pool width: a parallel scenario gets a serial
-  // twin (the reference semantics), a serial scenario gets a 2-worker
-  // twin — so EVERY scenario compares real worker threads against the
-  // serial engine. Any divergence means a parallel fn broke the
-  // host-independence contract (sim/parallel.h) or the staging drain
-  // reordered effects.
-  const int twin_workers = scenario.parallel_workers > 1 ? 1 : 2;
-  const EngineRun twin = run_engine(
-      scenario, ref.engine, sim::EventQueue::Impl::kFourAry, twin_workers);
-  if (twin.result_json != ref.result_json) {
-    add(verdict, "engine.parallel_identity", ref.engine,
-        fmt("replay at sim.parallel.workers=%d produced a different "
-            "serialized JobResult than workers=%d",
-            twin_workers, scenario.parallel_workers));
+  if (twin.job.output_records != ref.job.output_records) {
+    add(verdict, oracle.id, ref.engine,
+        fmt("JobResult output_records %llu with %s vs %llu without",
+            (unsigned long long)ref.job.output_records, knob,
+            (unsigned long long)twin.job.output_records));
   }
 }
 
@@ -629,23 +646,14 @@ Verdict check_scenario(const Scenario& scenario) {
   }
   check_cross_engine(runs, &verdict);
   check_multi_job(scenario, &verdict);
-  // Old-vs-new event queue on the paper's engine: the serial dispatch
-  // order is part of the determinism contract, so the whole serialized
-  // JobResult (timestamps, counters, metrics) must be byte-identical.
-  check_queue_equivalence(scenario, runs[1], &verdict);
-  // Serial-vs-parallel on the paper's engine, always on: worker threads
-  // may change where fn bodies run, never the simulated outcome.
-  check_parallel_identity(scenario, runs[1], &verdict);
-  // Speculation-on vs -off on the paper's engine (no-op unless the
-  // scenario speculates): backups may change when tasks finish, never
-  // the bytes the job writes.
-  check_speculation_identity(scenario, runs[1], &verdict);
-  if (scenario.check_determinism) {
-    const EngineRun rerun = run_engine(scenario, "osu-ib");
-    if (rerun.result_json != runs[1].result_json) {
-      add(&verdict, "determinism.job_result", "osu-ib",
-          "re-run produced a different serialized JobResult");
-    }
+  // Every replay oracle runs on the paper's engine.
+  const EngineRun& ref = runs[1];
+  for (const ReplayOracle& oracle : replay_oracles()) {
+    if (!oracle.applies(scenario)) continue;
+    compare_replay(oracle, scenario, ref,
+                   run_engine(oracle.twin(scenario), ref.engine,
+                              oracle.queue_impl),
+                   &verdict);
   }
   return verdict;
 }

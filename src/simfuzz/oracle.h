@@ -3,21 +3,25 @@
 // failures become recorded Violations instead of HMR_CHECK aborts, so
 // the fuzz loop can shrink and report), then checked against:
 //
-//  * per-engine: output present, sorted (globally for terasort), and
-//    checksum-identical to the input digest; phase timestamps sane
-//    (shuffle span inside the job span, overlap fraction in [0, 1]);
-//    conservation laws over the engine's metrics registry (bytes sent ==
-//    bytes received, retries <= timeouts <= requests, JobResult recovery
-//    counters == their metric twins, cache used-bytes peak within
-//    budget, zero fault/malformed counters on a healthy fabric).
-//  * cross-engine: all engines consumed the identical input and produced
-//    checksum-identical output with the same record count and task
-//    counts — the paper's claim that the RDMA designs change *when*
-//    bytes move, never *what* the job computes.
-//  * sampled determinism: re-running one engine reproduces a
-//    byte-identical serialized JobResult.
+//  * per engine (check_engine_run): output.*, shape.*, phase.* sanity,
+//    and conservation.* laws over the metrics registry.
+//  * across engines (check_cross_engine): cross.* — identical input,
+//    output digest, record and task counts.
+//  * multi-tenant (check_multi_job, concurrent_jobs >= 2): multijob.*
+//    starvation, scheduler books, and per-job serial identity.
+//  * the replay oracles (replay_oracles()): replay osu-ib with one thing
+//    changed and compare.
+//      queue.result_identity        always: legacy binary-heap queue,
+//                                   whole JobResult
+//      engine.parallel_identity     always: opposite pool width, whole
+//                                   JobResult
+//      speculation.result_identity  speculative: speculation off, output
+//                                   content
+//      determinism.job_result       check_determinism: unchanged re-run,
+//                                   whole JobResult
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +44,7 @@ struct EngineRun {
   // so in-flight transfers that straddled the job-end snapshot in
   // job.metrics have finished) — conservation laws hold only here.
   MetricsSnapshot end_metrics;
-  // Canonical serialization for the golden-determinism oracle.
+  // Canonical serialization, compared whole by the replay oracles.
   std::string result_json;
 };
 
@@ -70,15 +74,11 @@ std::string job_result_json(const mapred::JobResult& job);
 // wrong *output*; it still HMR_CHECKs on harness bugs (generation
 // failure), and scenarios whose faults make completion impossible abort
 // in the runtime by design (the generator never emits those).
-// `queue_impl` selects the engine's event-queue implementation; the
-// queue-equivalence oracle replays with the legacy binary heap.
-// `parallel_workers` >= 1 overrides the scenario's worker-pool width
-// (the parallel-identity oracle and the parallel stress suite replay
-// the same scenario at several widths); -1 keeps the scenario's value.
+// `queue_impl` selects the engine's event-queue implementation (the
+// queue.result_identity twin replays with the legacy binary heap).
 EngineRun run_engine(
     const Scenario& scenario, const std::string& engine,
-    sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry,
-    int parallel_workers = -1);
+    sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry);
 
 // Appends per-engine violations for one run.
 void check_engine_run(const Scenario& scenario, const EngineRun& run,
@@ -92,35 +92,36 @@ void check_cross_engine(const std::vector<EngineRun>& runs, Verdict* verdict);
 // both the input digest and its serial twin.
 void check_multi_job(const Scenario& scenario, Verdict* verdict);
 
-// Event-queue equivalence oracle: replays one engine with the legacy
-// binary-heap event queue and demands a byte-identical serialized
-// JobResult. Both queues implement the same (timestamp, seq) total
-// order, so ANY divergence is a queue bug, not a modeling change.
-void check_queue_equivalence(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict);
+// What a replay oracle's twin must reproduce of the reference run.
+enum class ReplayMatch {
+  kResultJson,     // the whole serialized JobResult, byte for byte
+  kOutputContent,  // output presence, digest, sort order, record count
+};
 
-// Speculation byte-identity oracle (always on; no-op when the scenario
-// runs without speculation): replays one engine with speculative
-// execution disabled and demands the same output digest, record count,
-// and sort order. Speculation is a scheduling optimization — first
-// commit wins and the loser's output is discarded — so it may change
-// *when* a task finishes, never *what* the job writes. Timings and
-// counters legitimately differ, so only output-content fields are
-// compared, not the serialized JobResult.
-void check_speculation_identity(const Scenario& scenario,
-                                const EngineRun& ref, Verdict* verdict);
+// One replay oracle: when it `applies`, the twin runs `twin(scenario)`
+// on `queue_impl` and must reproduce `match` of the reference run.
+// `describe` gives the violation detail (kResultJson), or the knob the
+// twin turns off (kOutputContent: "with <knob> ... without").
+struct ReplayOracle {
+  const char* id;
+  bool (*applies)(const Scenario&);
+  Scenario (*twin)(Scenario);
+  sim::EventQueue::Impl queue_impl;
+  ReplayMatch match;
+  std::string (*describe)(const Scenario&);
+};
 
-// Serial-vs-parallel identity oracle (always on): replays one engine at
-// the opposite worker-pool width (serial scenarios get workers=2,
-// parallel scenarios get workers=1) and demands a byte-identical
-// serialized JobResult. Divergence means a parallel fn violated the
-// host-independence contract of sim/parallel.h.
-void check_parallel_identity(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict);
+// The table, in the order check_scenario runs it.
+std::span<const ReplayOracle> replay_oracles();
+
+// Appends a violation under `oracle.id` for each compared field in
+// which `twin` differs from `ref`.
+void compare_replay(const ReplayOracle& oracle, const Scenario& scenario,
+                    const EngineRun& ref, const EngineRun& twin,
+                    Verdict* verdict);
 
 // The full battery: all three engines, per-engine + cross-engine checks,
-// the old-vs-new event-queue replay, the serial-vs-parallel replay, plus
-// the sampled determinism re-run when the scenario asks for it.
+// the multi-tenant oracle, and every applicable replay oracle.
 Verdict check_scenario(const Scenario& scenario);
 
 }  // namespace hmr::simfuzz

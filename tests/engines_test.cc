@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "common/units.h"
 #include "mapred/types.h"
+#include "sim/fault.h"
 #include "workloads/experiment.h"
 
 namespace hmr::workloads {
@@ -29,16 +31,19 @@ RunConfig small_config(EngineSetup setup, const std::string& workload) {
 // run_experiment aborts on validation failure, so "it returned" already
 // proves exactly-once sorted delivery; the assertions below pin the rest.
 
+// std::string rather than const char* parameters: a tuple of pointers
+// prints (and so names each discovered test) by its load address, which
+// changes from build to build.
 class EngineMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(EngineMatrix, CompletesAndValidates) {
-  const auto [engine, workload] = GetParam();
+  const auto& [engine, workload] = GetParam();
   EngineSetup setup;
-  if (std::string(engine) == "vanilla") setup = EngineSetup::ipoib();
-  if (std::string(engine) == "osu-ib") setup = EngineSetup::osu_ib();
-  if (std::string(engine) == "hadoop-a") setup = EngineSetup::hadoop_a();
+  if (engine == "vanilla") setup = EngineSetup::ipoib();
+  if (engine == "osu-ib") setup = EngineSetup::osu_ib();
+  if (engine == "hadoop-a") setup = EngineSetup::hadoop_a();
   const auto outcome = run_experiment(small_config(setup, workload));
   EXPECT_TRUE(outcome.validated);
   EXPECT_GT(outcome.seconds(), 0.0);
@@ -154,6 +159,51 @@ TEST(EngineBehaviourTest, ScaleInvarianceOfOrdering) {
   // Same modeled workload, different carriers: times should agree within
   // a modest tolerance (protocol quantization differs slightly).
   EXPECT_NEAR(a.seconds(), b.seconds(), a.seconds() * 0.35);
+}
+
+// The shared fetch client's whole fault ladder on all three engines: a
+// stalled tracker answers some requests after their watchdog fired (the
+// late frame must be dropped as a stale duplicate), a lossy one never
+// answers others (timeout, backoff, retry). The blacklist is out of
+// reach, so every fetch recovers in place, and the output must not
+// depend on the engine.
+TEST(EngineBehaviourTest, FetchFaultLadderOnEveryEngine) {
+  std::uint64_t digest = 0;
+  for (const EngineSetup& setup :
+       {EngineSetup::ipoib(), EngineSetup::osu_ib(), EngineSetup::hadoop_a()}) {
+    sim::FaultPlan plan(5);
+    plan.stall_responses(1, 0.05, 1.5);
+    plan.drop_responses(2, 0.1);
+    RunConfig config;
+    config.setup = setup;
+    config.workload = "terasort";
+    config.sort_modeled_bytes = 512 * kMiB;
+    config.nodes = 3;
+    config.block_size = 32 * kMiB;
+    config.target_real_bytes = 2 * kMiB;
+    config.faults = &plan;
+    config.setup.extra.set_double(mapred::kFetchTimeoutSec, 1.0);
+    config.setup.extra.set_double(mapred::kFetchBackoffBaseSec, 0.05);
+    config.setup.extra.set_double(mapred::kFetchBackoffMaxSec, 0.2);
+    config.setup.extra.set_int(mapred::kBlacklistFailures, 1000000);
+    config.setup.extra.set_int(mapred::kFetchMaxRetries, 50);
+    const auto outcome = run_experiment(config);
+    const std::string& engine = setup.engine;
+    ASSERT_TRUE(outcome.validated) << engine;
+    if (digest == 0) digest = outcome.validation.digest.checksum;
+    EXPECT_EQ(outcome.validation.digest.checksum, digest) << engine;
+
+    const MetricsSnapshot& m = outcome.job.metrics;
+    const auto requests = m.counter("shuffle.fetch.requests");
+    const auto timeouts = m.counter("shuffle.fetch.timeouts");
+    const auto retries = m.counter("shuffle.fetch.retries");
+    EXPECT_GT(m.counter("shuffle.fetch.stale_dropped"), 0) << engine;
+    EXPECT_GT(timeouts, 0) << engine;
+    EXPECT_LE(retries, timeouts) << engine;
+    EXPECT_LE(timeouts, requests) << engine;
+    EXPECT_EQ(m.counter("shuffle.malformed_msgs"), 0) << engine;
+    EXPECT_EQ(outcome.job.trackers_blacklisted, 0u) << engine;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include "common/units.h"
 #include "mapred/jobrunner.h"
-#include "mapred/recovery.h"
+#include "mapred/types.h"
 #include "sim/fault.h"
 #include "workloads/datagen.h"
 #include "workloads/experiment.h"

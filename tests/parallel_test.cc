@@ -272,6 +272,15 @@ namespace {
 
 constexpr std::uint64_t kMiB = 1024 * 1024;
 
+// The replay-oracle table row with this id.
+const ReplayOracle& replay_oracle(const std::string& id) {
+  for (const ReplayOracle& oracle : replay_oracles()) {
+    if (oracle.id == id) return oracle;
+  }
+  ADD_FAILURE() << "no replay oracle " << id;
+  return replay_oracles().front();
+}
+
 // Bound a generated scenario's data volume so the 16-seed × 4-width
 // sweep stays inside the CI budget; shape, knobs, and fault plan are
 // untouched (smaller data is strictly easier to complete).
@@ -285,18 +294,24 @@ Scenario capped(std::uint64_t seed) {
 // ISSUE 8 success metric, fuzz half: sixteen generated scenarios —
 // faults, concurrent knobs, every workload — replayed at workers
 // {2, 4, 8} must serialize byte-identically to the workers=1 run.
+// Each width's run is the reference and the serial run its
+// engine.parallel_identity twin.
 TEST(ParallelStressTest, SimfuzzSeedsByteIdenticalAcrossWidths) {
+  const ReplayOracle& oracle = replay_oracle("engine.parallel_identity");
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    const Scenario s = capped(seed);
-    const EngineRun serial =
-        run_engine(s, "osu-ib", sim::EventQueue::Impl::kFourAry,
-                   /*parallel_workers=*/1);
+    Scenario s = capped(seed);
+    s.parallel_workers = 1;
+    const EngineRun serial = run_engine(s, "osu-ib");
     ASSERT_FALSE(serial.result_json.empty()) << s.summary();
     for (int workers : {2, 4, 8}) {
-      const EngineRun parallel =
-          run_engine(s, "osu-ib", sim::EventQueue::Impl::kFourAry, workers);
-      EXPECT_EQ(parallel.result_json, serial.result_json)
-          << s.summary() << " workers=" << workers;
+      s.parallel_workers = workers;
+      ASSERT_EQ(oracle.twin(s).parallel_workers, 1);
+      const EngineRun parallel = run_engine(s, "osu-ib");
+      Verdict verdict;
+      compare_replay(oracle, s, parallel, serial, &verdict);
+      EXPECT_TRUE(verdict.ok())
+          << s.summary() << " workers=" << workers << ": "
+          << verdict.summary();
     }
   }
 }

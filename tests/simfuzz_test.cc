@@ -23,6 +23,15 @@ namespace {
 
 constexpr std::uint64_t kMiB = 1024 * 1024;
 
+// The replay-oracle table row with this id.
+const ReplayOracle& replay_oracle(const std::string& id) {
+  for (const ReplayOracle& oracle : replay_oracles()) {
+    if (oracle.id == id) return oracle;
+  }
+  ADD_FAILURE() << "no replay oracle " << id;
+  return replay_oracles().front();
+}
+
 // A scenario small enough that a full three-engine oracle pass stays
 // well under a second.
 Scenario small_scenario() {
@@ -201,13 +210,18 @@ TEST(OracleTest, GoldenDeterminismPerEngine) {
 // metrics snapshot — must come out byte-identical.
 TEST(OracleTest, QueueImplsProduceByteIdenticalResults) {
   const Scenario s = small_scenario();
+  const ReplayOracle& oracle = replay_oracle("queue.result_identity");
+  ASSERT_EQ(oracle.match, ReplayMatch::kResultJson);
+  ASSERT_EQ(oracle.queue_impl, sim::EventQueue::Impl::kLegacyBinaryHeap);
   for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
     const EngineRun fourary =
         run_engine(s, engine, sim::EventQueue::Impl::kFourAry);
-    const EngineRun legacy =
-        run_engine(s, engine, sim::EventQueue::Impl::kLegacyBinaryHeap);
     ASSERT_FALSE(fourary.result_json.empty()) << engine;
-    EXPECT_EQ(fourary.result_json, legacy.result_json) << engine;
+    const EngineRun legacy =
+        run_engine(oracle.twin(s), engine, oracle.queue_impl);
+    Verdict verdict;
+    compare_replay(oracle, s, fourary, legacy, &verdict);
+    EXPECT_TRUE(verdict.ok()) << engine << ": " << verdict.summary();
   }
 }
 
@@ -250,11 +264,16 @@ TEST(OracleTest, Terasort256NodesByteIdenticalAcrossQueues) {
     }
     return job_result_json(result);
   };
-  const std::string fourary = run_with(sim::EventQueue::Impl::kFourAry);
-  const std::string legacy =
-      run_with(sim::EventQueue::Impl::kLegacyBinaryHeap);
-  ASSERT_FALSE(fourary.empty());
-  EXPECT_EQ(fourary, legacy);
+  const ReplayOracle& oracle = replay_oracle("queue.result_identity");
+  EngineRun fourary;
+  fourary.engine = "osu-ib";
+  fourary.result_json = run_with(sim::EventQueue::Impl::kFourAry);
+  EngineRun legacy = fourary;
+  legacy.result_json = run_with(sim::EventQueue::Impl::kLegacyBinaryHeap);
+  ASSERT_FALSE(fourary.result_json.empty());
+  Verdict verdict;
+  compare_replay(oracle, Scenario{}, fourary, legacy, &verdict);
+  EXPECT_TRUE(verdict.ok()) << verdict.summary();
 }
 
 TEST(OracleTest, StallFaultTeardownRaceStaysFixed) {
@@ -345,12 +364,99 @@ TEST(OracleTest, SpeculationIdentityUnderComputeChaos) {
     for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
       const EngineRun run = run_engine(s, engine);
       ASSERT_FALSE(run.result_json.empty()) << engine;
+      const ReplayOracle& oracle =
+          replay_oracle("speculation.result_identity");
+      ASSERT_TRUE(oracle.applies(s));
+      const EngineRun off =
+          run_engine(oracle.twin(s), engine, oracle.queue_impl);
+      EXPECT_EQ(off.job.speculative_attempts, 0u) << engine;
       Verdict verdict;
-      check_speculation_identity(s, run, &verdict);
+      compare_replay(oracle, s, run, off, &verdict);
       EXPECT_TRUE(verdict.ok())
           << engine << " workers=" << workers << ": " << verdict.summary();
     }
   }
+}
+
+// The replay-oracle table: each comparator checks exactly the fields its
+// row names, and files every divergence under its own oracle id.
+TEST(OracleTableTest, EachComparatorFlagsOnlyItsOwnOracle) {
+  Scenario s = small_scenario();
+  s.speculative = true;
+  s.check_determinism = true;
+  const EngineRun ref = run_engine(s, "osu-ib");
+  ASSERT_TRUE(ref.output_present);
+  std::set<std::string> ids;
+  for (const ReplayOracle& oracle : replay_oracles()) {
+    ids.insert(oracle.id);
+    EXPECT_TRUE(oracle.applies(s)) << oracle.id;
+
+    Verdict same;
+    compare_replay(oracle, s, ref, ref, &same);
+    EXPECT_TRUE(same.ok()) << oracle.id << ": " << same.summary();
+
+    EngineRun twin = ref;
+    if (oracle.match == ReplayMatch::kResultJson) {
+      twin.result_json += " ";
+    } else {
+      twin.validation.digest.checksum ^= 1;
+    }
+    Verdict verdict;
+    compare_replay(oracle, s, ref, twin, &verdict);
+    ASSERT_FALSE(verdict.ok()) << oracle.id;
+    for (const Violation& violation : verdict.violations) {
+      EXPECT_EQ(violation.oracle, oracle.id);
+      EXPECT_EQ(violation.engine, "osu-ib");
+      EXPECT_FALSE(violation.detail.empty());
+    }
+  }
+  EXPECT_EQ(ids, (std::set<std::string>{
+                     "queue.result_identity", "engine.parallel_identity",
+                     "speculation.result_identity", "determinism.job_result"}));
+}
+
+// Output-content rows ignore timings and counters but catch every
+// output field: presence, digest, sort order and record count.
+TEST(OracleTableTest, OutputContentComparatorCoversEveryOutputField) {
+  const Scenario s = small_scenario();
+  const ReplayOracle& oracle = replay_oracle("speculation.result_identity");
+  ASSERT_EQ(oracle.match, ReplayMatch::kOutputContent);
+  EngineRun ref;
+  ref.engine = "osu-ib";
+  ref.output_present = true;
+  ref.validation.digest.records = 10;
+  ref.validation.digest.checksum = 0xabc;
+  ref.validation.per_part_sorted = true;
+  ref.validation.globally_sorted = true;
+  ref.job.output_records = 10;
+  ref.result_json = "{}";
+
+  const auto violations = [&](const EngineRun& twin) {
+    Verdict verdict;
+    compare_replay(oracle, s, ref, twin, &verdict);
+    return verdict.violations;
+  };
+  EngineRun timing = ref;
+  timing.result_json = "{\"finish_time\":2}";
+  EXPECT_TRUE(violations(timing).empty());
+
+  EngineRun missing = ref;
+  missing.output_present = false;
+  ASSERT_EQ(violations(missing).size(), 1u);
+  EXPECT_EQ(violations(missing)[0].detail,
+            "output present with speculation, missing without");
+
+  EngineRun unsorted = ref;
+  unsorted.validation.globally_sorted = false;
+  ASSERT_EQ(violations(unsorted).size(), 1u);
+  EXPECT_EQ(violations(unsorted)[0].detail,
+            "sort-order validation diverged between speculation on and off");
+
+  EngineRun short_output = ref;
+  short_output.job.output_records = 9;
+  ASSERT_EQ(violations(short_output).size(), 1u);
+  EXPECT_EQ(violations(short_output)[0].detail,
+            "JobResult output_records 10 with speculation vs 9 without");
 }
 
 TEST(CorpusTest, CommittedScenariosPassAllOracles) {
