@@ -10,6 +10,7 @@
 // (mapred/jobtracker.h), which calls run() once per dispatched job.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>

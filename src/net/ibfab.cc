@@ -122,8 +122,7 @@ sim::Task<> QueuePair::run_send(SendWr wr) {
   while (peer_->recv_queue_.empty()) {
     co_await peer_->recv_posted_.wait();
   }
-  RecvWr recv = peer_->recv_queue_.front();
-  peer_->recv_queue_.pop_front();
+  const RecvWr recv = peer_->recv_queue_.pop_front();
 
   const std::uint64_t bytes = wr.message.modeled_bytes;
   co_await network_.transmit(local_host(), remote_host(), bytes);

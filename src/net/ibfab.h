@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/channel.h"
+#include "sim/fifo.h"
 #include "sim/sync.h"
 
 namespace hmr::ibv {
@@ -170,7 +170,7 @@ class QueuePair {
   QueuePair* peer_ = nullptr;
   QpState state_ = QpState::kReset;
   // Posted receive WRs waiting for inbound sends.
-  std::deque<RecvWr> recv_queue_;
+  sim::Fifo<RecvWr> recv_queue_;
   // Pulsed whenever a recv is posted, to release RNR-parked remote senders.
   sim::Event recv_posted_;
   // Serializes the wire per QP: RC delivers in posting order.

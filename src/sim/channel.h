@@ -4,19 +4,25 @@
 //
 // recv() yields std::optional<T>: nullopt means the channel was closed
 // and fully drained, the idiomatic daemon-shutdown signal.
+//
+// An idle channel holds no heap: the buffer is a sim::Fifo and parked
+// senders and receivers are linked through their awaiters (sim/fifo.h).
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace hmr::sim {
 
 template <typename T>
 class Channel {
+  struct SendAwaiter;
+  struct RecvAwaiter;
+
  public:
   Channel(Engine& engine, size_t capacity)
       : engine_(engine), capacity_(capacity) {
@@ -31,56 +37,10 @@ class Channel {
   bool empty() const { return buffer_.empty(); }
 
   // Awaitable send. Sending on a closed channel is a programming error.
-  auto send(T value) {
-    struct Awaiter {
-      Channel& channel;
-      T value;
-      bool parked = false;
-      bool await_ready() {
-        HMR_CHECK_MSG(!channel.closed_, "send on closed channel");
-        return channel.senders_.empty() &&
-               channel.buffer_.size() < channel.capacity_;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        parked = true;
-        channel.senders_.push_back({h, &value});
-      }
-      void await_resume() {
-        // Parked senders are drained by recv()/close() which move the value
-        // out through the registered slot before rescheduling us.
-        if (!parked) channel.push(std::move(value));
-      }
-    };
-    return Awaiter{*this, std::move(value)};
-  }
+  SendAwaiter send(T value) { return SendAwaiter(*this, std::move(value)); }
 
   // Awaitable receive; nullopt once closed and drained.
-  auto recv() {
-    struct Awaiter {
-      Channel& channel;
-      std::optional<T> value;
-      bool parked = false;
-      bool await_ready() {
-        return !channel.buffer_.empty() || channel.closed_;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        parked = true;
-        channel.receivers_.push_back({h, &value});
-      }
-      std::optional<T> await_resume() {
-        if (!parked) {
-          if (!channel.buffer_.empty()) {
-            value = std::move(channel.buffer_.front());
-            channel.buffer_.pop_front();
-            channel.admit_parked_sender();
-          }
-          // else: closed and drained -> nullopt
-        }
-        return std::move(value);
-      }
-    };
-    return Awaiter{*this, std::nullopt, false};
-  }
+  RecvAwaiter recv() { return RecvAwaiter(*this); }
 
   // Non-suspending send: delivers if a receiver is parked or buffer space
   // exists; returns false when full or closed (callers drop or retry).
@@ -97,8 +57,7 @@ class Channel {
   // distinguish empty from closed — callers poll).
   std::optional<T> try_recv() {
     if (buffer_.empty()) return std::nullopt;
-    T value = std::move(buffer_.front());
-    buffer_.pop_front();
+    std::optional<T> value = buffer_.pop_front();
     admit_parked_sender();
     return value;
   }
@@ -110,32 +69,59 @@ class Channel {
     closed_ = true;
     HMR_CHECK_MSG(senders_.empty(), "close with parked senders");
     while (!receivers_.empty()) {
-      ReceiverNode node = receivers_.front();
-      receivers_.pop_front();
-      if (!buffer_.empty()) {
-        *node.slot = std::move(buffer_.front());
-        buffer_.pop_front();
-      }
-      engine_.schedule_now(node.handle);
+      auto& receiver = receivers_.pop_front<RecvAwaiter>();
+      if (!buffer_.empty()) receiver.value = buffer_.pop_front();
+      engine_.schedule_now(receiver.handle);
     }
   }
 
  private:
-  struct SenderNode {
-    std::coroutine_handle<> handle;
-    T* slot;
+  // Parked senders are drained by recv()/close(), which move the value
+  // out of the awaiter before rescheduling it.
+  struct SendAwaiter : Waiter {
+    SendAwaiter(Channel& c, T v) : channel(c), value(std::move(v)) {}
+    Channel& channel;
+    T value;
+    bool parked = false;
+    bool await_ready() {
+      HMR_CHECK_MSG(!channel.closed_, "send on closed channel");
+      return channel.senders_.empty() &&
+             channel.buffer_.size() < channel.capacity_;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      parked = true;
+      channel.senders_.push_back(*this, h);
+    }
+    void await_resume() {
+      if (!parked) channel.push(std::move(value));
+    }
   };
-  struct ReceiverNode {
-    std::coroutine_handle<> handle;
-    std::optional<T>* slot;
+
+  struct RecvAwaiter : Waiter {
+    explicit RecvAwaiter(Channel& c) : channel(c) {}
+    Channel& channel;
+    std::optional<T> value;
+    bool parked = false;
+    bool await_ready() { return !channel.buffer_.empty() || channel.closed_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      parked = true;
+      channel.receivers_.push_back(*this, h);
+    }
+    std::optional<T> await_resume() {
+      if (!parked && !channel.buffer_.empty()) {
+        value = channel.buffer_.pop_front();
+        channel.admit_parked_sender();
+      }
+      // else: delivered while parked, or closed and drained -> nullopt
+      return std::move(value);
+    }
   };
 
   void push(T value) {
     if (!receivers_.empty()) {
-      ReceiverNode node = receivers_.front();
-      receivers_.pop_front();
-      *node.slot = std::move(value);
-      engine_.schedule_now(node.handle);
+      auto& receiver = receivers_.pop_front<RecvAwaiter>();
+      receiver.value = std::move(value);
+      engine_.schedule_now(receiver.handle);
       return;
     }
     buffer_.push_back(std::move(value));
@@ -144,18 +130,17 @@ class Channel {
   // After a buffered item is consumed, promote the oldest parked sender.
   void admit_parked_sender() {
     if (senders_.empty() || buffer_.size() >= capacity_) return;
-    SenderNode node = senders_.front();
-    senders_.pop_front();
-    buffer_.push_back(std::move(*node.slot));
-    engine_.schedule_now(node.handle);
+    auto& sender = senders_.pop_front<SendAwaiter>();
+    buffer_.push_back(std::move(sender.value));
+    engine_.schedule_now(sender.handle);
   }
 
   Engine& engine_;
   size_t capacity_;
   bool closed_ = false;
-  std::deque<T> buffer_;
-  std::deque<SenderNode> senders_;
-  std::deque<ReceiverNode> receivers_;
+  Fifo<T> buffer_;
+  WaitList senders_;
+  WaitList receivers_;
 };
 
 }  // namespace hmr::sim

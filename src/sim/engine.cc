@@ -10,7 +10,7 @@ namespace hmr::sim {
 
 namespace detail {
 
-void on_detached_done(PromiseBase& promise, void* frame_address) noexcept {
+void on_detached_done(PromiseBase& promise) noexcept {
   if (promise.exception) {
     try {
       std::rethrow_exception(promise.exception);
@@ -21,10 +21,8 @@ void on_detached_done(PromiseBase& promise, void* frame_address) noexcept {
     }
     std::abort();
   }
-  Engine* engine = promise.engine;
-  HMR_CHECK(engine != nullptr);
-  --engine->live_processes_;
-  engine->live_detached_.erase(frame_address);
+  --promise.engine->live_processes_;
+  promise.engine->unlink_detached(promise);
 }
 
 }  // namespace detail
@@ -37,14 +35,23 @@ Engine::Engine(std::uint64_t seed, EventQueue::Impl queue_impl)
 Engine::~Engine() {
   Logger::instance().clear_time_source();
   shutting_down_ = true;
-  // Destroy still-suspended detached frames. Their locals' destructors may
-  // try to schedule wakeups; schedule_at ignores those while shutting down.
-  // Destroying one frame can complete (and deregister) others only through
-  // scheduling, which is disabled, so a snapshot copy is safe.
-  auto leftovers = live_detached_;
-  for (void* address : leftovers) {
-    std::coroutine_handle<>::from_address(address).destroy();
+  // Destroy still-suspended detached frames, oldest spawn first. Their
+  // locals' destructors may try to schedule wakeups; schedule_at ignores
+  // those while shutting down, so destroying one frame never completes
+  // another, and each is unlinked before it is destroyed.
+  while (detached_head_ != nullptr) {
+    auto& promise = static_cast<Task<>::promise_type&>(*detached_head_);
+    unlink_detached(promise);
+    std::coroutine_handle<Task<>::promise_type>::from_promise(promise)
+        .destroy();
   }
+}
+
+void Engine::unlink_detached(detail::PromiseBase& promise) {
+  (promise.prev_detached != nullptr ? promise.prev_detached->next_detached
+                                    : detached_head_) = promise.next_detached;
+  (promise.next_detached != nullptr ? promise.next_detached->prev_detached
+                                    : detached_tail_) = promise.prev_detached;
 }
 
 void Engine::schedule_at(Time at, std::coroutine_handle<> h) {
@@ -76,10 +83,12 @@ void Engine::spawn(Task<> task) {
   auto handle = task.release();
   HMR_CHECK_MSG(handle, "spawning an empty task");
   auto& promise = handle.promise();
-  promise.detached = true;
   promise.engine = this;
+  promise.prev_detached = detached_tail_;
+  (detached_tail_ != nullptr ? detached_tail_->next_detached
+                             : detached_head_) = &promise;
+  detached_tail_ = &promise;
   ++live_processes_;
-  live_detached_.insert(handle.address());
   schedule_now(handle);
 }
 

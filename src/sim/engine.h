@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,7 +157,7 @@ class Engine {
   std::uint64_t seed() const { return seed_; }
 
  private:
-  friend void detail::on_detached_done(detail::PromiseBase&, void*) noexcept;
+  friend void detail::on_detached_done(detail::PromiseBase&) noexcept;
 
   // Enqueues a work event at now(); called from ParallelAwaiter.
   void schedule_work(ParallelWork& work);
@@ -168,6 +167,8 @@ class Engine {
   // Applies one work item's staged effects in order, then resumes its
   // continuation (after which the work object must not be touched).
   void drain_and_resume(ParallelWork& work);
+  // Removes a finished or torn-down frame from the detached list.
+  void unlink_detached(detail::PromiseBase& promise);
 
   EventQueue queue_;
   Time now_ = 0.0;
@@ -179,9 +180,10 @@ class Engine {
   std::uint64_t seed_;
   MetricsRegistry metrics_;
   std::atomic<Tracer*> tracer_{nullptr};
-  // Frames of spawned-but-unfinished processes, destroyed at shutdown.
-  // Ordered so shutdown teardown iterates deterministically.
-  std::set<void*> live_detached_;
+  // Frames of spawned-but-unfinished processes, linked through their
+  // promises in spawn order; shutdown destroys them in that order.
+  detail::PromiseBase* detached_head_ = nullptr;
+  detail::PromiseBase* detached_tail_ = nullptr;
   std::atomic<bool> shutting_down_{false};
 
   // --- parallel work-event state (sim/parallel.h) ---

@@ -9,8 +9,7 @@ void Event::set() {
   // re-await. Waiters added during wakeup (same timestamp) see set_ == true
   // in await_ready and never park.
   while (!waiters_.empty()) {
-    engine_.schedule_now(waiters_.front());
-    waiters_.pop_front();
+    engine_.schedule_now(waiters_.pop_front<Awaiter>().handle);
   }
 }
 
@@ -32,9 +31,9 @@ void Resource::grant_waiters() {
   // Strict FIFO: only the head may be admitted. The debit happens here, on
   // the waiter's behalf, so units stay booked while the wakeup travels
   // through the engine queue.
-  while (!waiters_.empty() && available_ >= waiters_.front().amount) {
-    Waiter waiter = waiters_.front();
-    waiters_.pop_front();
+  while (!waiters_.empty() &&
+         available_ >= waiters_.front<Awaiter>().amount) {
+    auto& waiter = waiters_.pop_front<Awaiter>();
     available_ -= waiter.amount;
     engine_.schedule_now(waiter.handle);
   }

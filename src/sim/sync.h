@@ -3,15 +3,16 @@
 // All wakeups are routed through Engine::schedule_now so same-time
 // resumption order is deterministic and recursion depth stays bounded.
 // These types are not thread-safe by design — the engine is
-// single-threaded (see sim/engine.h).
+// single-threaded (see sim/engine.h). Waiters are linked through their
+// awaiters (sim/fifo.h), so parking allocates nothing.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace hmr::sim {
 
@@ -26,24 +27,23 @@ class Event {
   void set();
   void reset() { set_ = false; }
 
-  auto wait() {
-    struct Awaiter {
-      Event& event;
-      bool await_ready() const noexcept { return event.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        event.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
+  struct Awaiter : Waiter {
+    explicit Awaiter(Event& e) : event(e) {}
+    Event& event;
+    bool await_ready() const noexcept { return event.set_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      event.waiters_.push_back(*this, h);
+    }
+    void await_resume() const noexcept {}
+  };
+  Awaiter wait() { return Awaiter(*this); }
 
   Engine& engine() { return engine_; }
 
  private:
   Engine& engine_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
 };
 
 // Counted resource with FIFO admission (no starvation: a queued large
@@ -64,25 +64,26 @@ class Resource {
   // debits in await_resume; parked waiters are debited at grant time (in
   // grant_waiters) so units cannot be double-booked while the wakeup sits
   // in the engine queue.
-  auto acquire(std::int64_t amount = 1) {
-    struct Awaiter {
-      Resource& resource;
-      std::int64_t amount;
-      bool parked = false;
-      bool await_ready() const noexcept {
-        return resource.waiters_.empty() && resource.available_ >= amount;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        parked = true;
-        resource.waiters_.push_back({h, amount});
-      }
-      void await_resume() const noexcept {
-        if (!parked) resource.available_ -= amount;
-      }
-    };
+  struct Awaiter : Waiter {
+    Awaiter(Resource& r, std::int64_t n) : resource(r), amount(n) {}
+    Resource& resource;
+    std::int64_t amount;
+    bool parked = false;
+    bool await_ready() const noexcept {
+      return resource.waiters_.empty() && resource.available_ >= amount;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      parked = true;
+      resource.waiters_.push_back(*this, h);
+    }
+    void await_resume() const noexcept {
+      if (!parked) resource.available_ -= amount;
+    }
+  };
+  Awaiter acquire(std::int64_t amount = 1) {
     HMR_CHECK_MSG(amount >= 0 && amount <= capacity_,
                   "acquire amount exceeds resource capacity: " + name_);
-    return Awaiter{*this, amount};
+    return Awaiter(*this, amount);
   }
   void release(std::int64_t amount = 1);
 
@@ -95,17 +96,13 @@ class Resource {
   }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::int64_t amount;
-  };
   void grant_waiters();
 
   Engine& engine_;
   std::int64_t capacity_;
   std::int64_t available_;
   std::string name_;
-  std::deque<Waiter> waiters_;
+  WaitList waiters_;
 };
 
 // RAII hold on a Resource. Obtain via `co_await hold(resource, n)`.

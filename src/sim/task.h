@@ -31,14 +31,17 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
-  bool detached = false;
-  Engine* engine = nullptr;  // set on spawn, for live-process accounting
+  // Set on spawn: the frame is detached and owned by this engine.
+  Engine* engine = nullptr;
+  // Links in the engine's list of live detached frames, in spawn order.
+  PromiseBase* prev_detached = nullptr;
+  PromiseBase* next_detached = nullptr;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }
 };
 
-void on_detached_done(PromiseBase& promise, void* frame_address) noexcept;
+void on_detached_done(PromiseBase& promise) noexcept;
 
 template <typename Promise>
 struct FinalAwaiter {
@@ -46,8 +49,8 @@ struct FinalAwaiter {
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
     auto& promise = h.promise();
-    if (promise.detached) {
-      on_detached_done(promise, h.address());
+    if (promise.engine != nullptr) {
+      on_detached_done(promise);
       h.destroy();
       return std::noop_coroutine();
     }

@@ -1,14 +1,49 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mapred/fetch_client.h"
 #include "sim/channel.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+
+// Counting global allocator for SimMemoryTest: every operator new in this
+// binary stores its size in a header, so the test can read the live heap
+// bytes and the number of allocations around the code it measures.
+namespace {
+std::atomic<std::int64_t> g_heap_bytes{0};
+std::atomic<std::int64_t> g_heap_allocs{0};
+constexpr std::size_t kHeapHeader = alignof(std::max_align_t);
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  void* base = std::malloc(size + kHeapHeader);
+  if (base == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(base) = size;
+  g_heap_bytes.fetch_add(std::int64_t(size), std::memory_order_relaxed);
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<char*>(base) + kHeapHeader;
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  void* base = static_cast<char*>(p) - kHeapHeader;
+  g_heap_bytes.fetch_sub(std::int64_t(*static_cast<std::size_t*>(base)),
+                         std::memory_order_relaxed);
+  std::free(base);
+}
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace hmr::sim {
 namespace {
@@ -198,6 +233,47 @@ TEST(EngineTest, BlockedProcessReportedLive) {
   EXPECT_EQ(engine.live_processes(), 1);
 }
 
+// Frames still parked when the engine dies are destroyed oldest spawn
+// first, whatever their frame addresses or park order. Frames are
+// created A, B, C but spawned C, A, B. A and B park on an Event that
+// outlives the engine (each frame unlinks its waiter as it dies); C parks
+// on a Channel that dies first (it orphans C's waiter).
+TEST(EngineTest, TeardownDestroysLeftoverFramesInSpawnOrder) {
+  struct Mark {
+    std::vector<char>* log;
+    char id;
+    ~Mark() { log->push_back(id); }
+  };
+  auto park_on_event = [](Engine& e, Event& ev, std::vector<char>& log,
+                          char id, double arrive) -> Task<> {
+    Mark mark{&log, id};
+    co_await e.delay(arrive);
+    co_await ev.wait();
+    ADD_FAILURE() << "event was never set";
+  };
+  std::vector<char> destroyed;
+  std::unique_ptr<Event> outliving;
+  {
+    Engine engine;
+    outliving = std::make_unique<Event>(engine);
+    Channel<int> channel(engine, 1);
+    Task<> a = park_on_event(engine, *outliving, destroyed, 'A', 2.0);
+    Task<> b = park_on_event(engine, *outliving, destroyed, 'B', 1.0);
+    Task<> c = [](Channel<int>& ch, std::vector<char>& log) -> Task<> {
+      Mark mark{&log, 'C'};
+      (void)co_await ch.recv();
+      ADD_FAILURE() << "channel never delivers";
+    }(channel, destroyed);
+    engine.spawn(std::move(c));
+    engine.spawn(std::move(a));
+    engine.spawn(std::move(b));
+    engine.run();
+    EXPECT_EQ(engine.live_processes(), 3);
+    EXPECT_TRUE(destroyed.empty());
+  }
+  EXPECT_EQ(destroyed, (std::vector<char>{'C', 'A', 'B'}));
+}
+
 TEST(EngineTest, DeterministicAcrossRuns) {
   auto run_once = [] {
     Engine engine(42);
@@ -275,7 +351,72 @@ TEST(EventTest, ResetRearms) {
   EXPECT_EQ(woken, 1);
 }
 
+// Waiters wake in the order they parked (here the reverse of spawn
+// order). A waiter that arrives at the set() timestamp, and a woken
+// waiter that waits again, both see the event set and never park.
+TEST(EventTest, WaitersWakeInParkOrder) {
+  Engine engine;
+  Event ev(engine);
+  std::vector<int> order;
+  engine.spawn([](Engine& e, Event& ev) -> Task<> {
+    co_await e.delay(1.0);
+    ev.set();
+  }(engine, ev));
+  engine.spawn([](Engine& e, Event& ev, std::vector<int>& order) -> Task<> {
+    co_await e.delay(1.0);
+    co_await ev.wait();
+    order.push_back(100);
+  }(engine, ev, order));
+  for (int i = 0; i < 4; ++i) {
+    engine.spawn([](Engine& e, Event& ev, std::vector<int>& order,
+                    int id) -> Task<> {
+      co_await e.delay(0.001 * double(3 - id));
+      co_await ev.wait();
+      order.push_back(id);
+      co_await ev.wait();
+      order.push_back(10 + id);
+    }(engine, ev, order, i));
+  }
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{100, 3, 13, 2, 12, 1, 11, 0, 10}));
+  EXPECT_EQ(engine.live_processes(), 0);
+}
+
 // -------------------------------------------------------------- resource
+
+// queued() counts parked waiters, O(1), as they park and as grants
+// admit them.
+TEST(ResourceTest, QueuedCountsParkedWaiters) {
+  Engine engine;
+  Resource r(engine, 2, "slots");
+  std::vector<std::int64_t> queued;
+  engine.spawn([](Engine& e, Resource& r) -> Task<> {
+    co_await r.acquire(2);
+    co_await e.delay(1.0);
+    r.release(2);
+  }(engine, r));
+  for (const std::int64_t amount : {1, 1, 2}) {
+    engine.spawn([](Engine& e, Resource& r, std::int64_t amount) -> Task<> {
+      co_await r.acquire(amount);
+      co_await e.delay(1.0);
+      r.release(amount);
+    }(engine, r, amount));
+  }
+  engine.spawn([](Engine& e, Resource& r,
+                  std::vector<std::int64_t>& queued) -> Task<> {
+    for (int i = 0; i < 4; ++i) {
+      co_await e.delay(0.5);
+      queued.push_back(r.queued());
+      co_await e.delay(0.5);
+    }
+  }(engine, r, queued));
+  engine.run();
+  // t=0.5: all three park behind the holder. t=1.5: both 1-unit waiters
+  // were granted, the 2-unit one waits. t=2.5: it holds both units.
+  EXPECT_EQ(queued, (std::vector<std::int64_t>{3, 1, 0, 0}));
+  EXPECT_EQ(r.available(), 2);
+}
+
 
 TEST(ResourceTest, CapacityLimitsConcurrency) {
   Engine engine;
@@ -635,6 +776,38 @@ TEST(ChannelTest, TrySendHandsOffToParkedReceiver) {
   EXPECT_EQ(got, 42);
 }
 
+// Senders parked on a full channel enter the buffer oldest first, one
+// per consumed item, whether the item leaves through recv() or
+// try_recv(). Senders park in the reverse of spawn order here.
+TEST(ChannelTest, ParkedSendersAdmittedOldestFirst) {
+  Engine engine;
+  Channel<int> ch(engine, 1);
+  ASSERT_TRUE(ch.try_send(0));
+  std::vector<int> sent;
+  for (int i = 1; i <= 3; ++i) {
+    engine.spawn([](Engine& e, Channel<int>& ch, std::vector<int>& sent,
+                    int value) -> Task<> {
+      co_await e.delay(0.001 * double(value));
+      co_await ch.send(value);
+      sent.push_back(value);
+    }(engine, ch, sent, 4 - i));
+  }
+  std::vector<int> got;
+  engine.spawn([](Engine& e, Channel<int>& ch, std::vector<int>& got)
+                   -> Task<> {
+    co_await e.delay(1.0);
+    got.push_back(ch.try_recv().value_or(-1));
+    got.push_back((co_await ch.recv()).value_or(-1));
+    got.push_back(ch.try_recv().value_or(-1));
+    got.push_back((co_await ch.recv()).value_or(-1));
+  }(engine, ch, got));
+  engine.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sent, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(engine.live_processes(), 0);
+}
+
 TEST(ChannelTest, TryRecvDrainsBuffer) {
   Engine engine;
   Channel<int> ch(engine, 4);
@@ -847,6 +1020,82 @@ TEST(ChannelTest, SendOnClosedAborts) {
   ch.close();
   engine.spawn([](Channel<int>& ch) -> Task<> { co_await ch.send(1); }(ch));
   EXPECT_DEATH(engine.run(), "closed channel");
+}
+
+}  // namespace
+}  // namespace hmr::sim
+
+namespace hmr::sim {
+namespace {
+
+std::int64_t heap_bytes() {
+  return g_heap_bytes.load(std::memory_order_relaxed);
+}
+std::int64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
+
+// An idle primitive costs only its own object: the simulator keeps
+// several per (map, reduce) pair alive at once (DESIGN.md §6.3).
+TEST(SimMemoryTest, IdlePrimitivesHoldNoHeap) {
+  Engine engine;
+
+  // Construction allocates nothing beyond the objects themselves.
+  std::int64_t before = heap_allocs();
+  {
+    Channel<int> channel(engine, 64);
+    Event event(engine);
+    Resource resource(engine, 4, "disk");
+    WaitGroup group(engine);
+    mapred::FetchInbox inbox(engine);
+    EXPECT_EQ(heap_allocs() - before, 0);
+  }
+
+  // A channel that buffered items gives the buffer back once drained.
+  Channel<int> channel(engine, 64);
+  before = heap_bytes();
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(channel.try_send(i));
+  EXPECT_GT(heap_bytes(), before);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(channel.try_recv(), i);
+  EXPECT_EQ(heap_bytes() - before, 0);
+
+  // Park/unpark cycles on Event and Resource allocate nothing once the
+  // frames exist and the event queue has reached its working size.
+  Event event(engine);
+  Resource resource(engine, 1, "slot");
+  int woken = 0;
+  engine.spawn([](Engine& e, Event& ev) -> Task<> {
+    for (int i = 0; i < 100; ++i) {
+      co_await e.delay(1.0);
+      ev.set();
+      ev.reset();
+    }
+  }(engine, event));
+  engine.spawn([](Event& ev, int& woken) -> Task<> {
+    for (int i = 0; i < 100; ++i) {
+      co_await ev.wait();
+      ++woken;
+    }
+  }(event, woken));
+  for (int i = 0; i < 2; ++i) {
+    engine.spawn([](Engine& e, Resource& r) -> Task<> {
+      for (int j = 0; j < 100; ++j) {
+        co_await r.acquire();
+        co_await e.delay(1.0);
+        r.release();
+      }
+    }(engine, resource));
+  }
+  engine.run_until(2.5);
+  before = heap_allocs();
+  const std::int64_t bytes = heap_bytes();
+  engine.run_until(50.5);
+  EXPECT_EQ(heap_allocs() - before, 0);
+  EXPECT_EQ(heap_bytes() - bytes, 0);
+  EXPECT_EQ(woken, 50);
+  engine.run();
+  EXPECT_EQ(woken, 100);
+  EXPECT_EQ(engine.live_processes(), 0);
 }
 
 }  // namespace
