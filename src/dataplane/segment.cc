@@ -64,12 +64,13 @@ std::uint64_t MapOutputBuilder::pending_records() const {
 }
 
 MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
-  MapOutput out;
-  ByteWriter writer;
-  out.index.reserve(partitions_.size());
+  // Sort (and combine) every partition before serializing, so the output
+  // buffer is allocated at its exact size: storage keeps it as it is.
+  std::uint64_t total_bytes = combiner == nullptr ? pending_bytes_ : 0;
   for (auto& partition : partitions_) {
     std::sort(partition.begin(), partition.end(), KvLess{});
-    if (combiner != nullptr && !partition.empty()) {
+    if (combiner == nullptr) continue;
+    if (!partition.empty()) {
       // The CombineFn API owns its inputs, so groups materialize out of
       // the arena here; combined output is copied back in. Combining is
       // rare relative to the sort path (aggregatable workloads only).
@@ -96,6 +97,14 @@ MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
       std::sort(combined.begin(), combined.end(), KvLess{});
       partition = std::move(combined);
     }
+    for (const auto& view : partition) total_bytes += view.serialized_size();
+  }
+  MapOutput out;
+  Bytes bytes;
+  bytes.reserve(total_bytes);
+  ByteWriter writer(&bytes);
+  out.index.reserve(partitions_.size());
+  for (auto& partition : partitions_) {
     IndexEntry entry;
     entry.offset = writer.size();
     entry.kv_count = partition.size();
@@ -104,7 +113,7 @@ MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
     out.index.push_back(entry);
     partition.clear();
   }
-  out.data = std::make_shared<const Bytes>(writer.take());
+  out.data = std::make_shared<const Bytes>(std::move(bytes));
   // Per-partition CRC32C, the checksum every downstream read boundary
   // (cache fill, responder, servlet, merge ingest) verifies against.
   for (auto& entry : out.index) {

@@ -65,9 +65,9 @@ class MapOutputBuilder {
   std::uint64_t pending_bytes() const { return pending_bytes_; }
   std::uint64_t pending_records() const;
 
-  // Sorts and serializes; the builder resets to empty. A non-null
-  // combiner runs over each sorted partition first (Hadoop's map-side
-  // combine), shrinking what the shuffle must move.
+  // Sorts and serializes into an exact-size buffer; the builder resets
+  // to empty. A non-null combiner runs over each sorted partition first
+  // (Hadoop's map-side combine), shrinking what the shuffle must move.
   MapOutput build(const CombineFn* combiner = nullptr);
 
  private:

@@ -127,13 +127,14 @@ sim::Task<> MiniDfs::rpc(Host& from) {
 }
 
 sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
-                                   Bytes slice, double scale) {
+                                   std::shared_ptr<const Bytes> slice,
+                                   double scale) {
   auto& metrics = cluster_.engine().metrics();
   int io_attempts = 0;
   int full_attempts = 0;
   for (;;) {
     const Status st =
-        co_await dn.fs().write_file(block_path(block_id), Bytes(slice), scale);
+        co_await dn.fs().write_file(block_path(block_id), slice, scale);
     if (st.code() == StatusCode::kResourceExhausted) {
       HMR_CHECK_MSG(++full_attempts <= kDiskFullAttempts,
                     "disk-full window outlasted datanode write: " +
@@ -162,7 +163,8 @@ sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
   }
 }
 
-sim::Task<> MiniDfs::write_block(Host& writer, BlockInfo block, Bytes slice,
+sim::Task<> MiniDfs::write_block(Host& writer, BlockInfo block,
+                                 std::shared_ptr<const Bytes> slice,
                                  double scale) {
   const auto modeled =
       static_cast<std::uint64_t>(double(block.real_len) * scale);
@@ -176,7 +178,8 @@ sim::Task<> MiniDfs::write_block(Host& writer, BlockInfo block, Bytes slice,
     stages.add();
     cluster_.engine().spawn(
         [](MiniDfs& dfs, Host* from, Host* to, std::uint64_t modeled,
-           Bytes slice, double scale, std::uint64_t block_id,
+           std::shared_ptr<const Bytes> slice, double scale,
+           std::uint64_t block_id,
            sim::WaitGroup& stages) -> sim::Task<> {
           if (from->id() != to->id()) {
             co_await dfs.network_.transmit(*from, *to, modeled);
@@ -234,24 +237,34 @@ MiniDfs::Writer::Writer(MiniDfs& dfs, Host& writer, std::string path,
 
 sim::Task<> MiniDfs::Writer::append(std::span<const std::uint8_t> data) {
   HMR_CHECK_MSG(!closed_, "append to closed HDFS writer");
-  pending_.insert(pending_.end(), data.begin(), data.end());
   info_.real_size += data.size();
-  while (pending_.size() >= real_block_) {
-    BlockInfo block;
-    block.id = dfs_.namenode_.next_block_id();
-    block.real_offset =
-        info_.blocks.empty()
-            ? 0
-            : info_.blocks.back().real_offset + info_.blocks.back().real_len;
-    block.real_len = real_block_;
-    block.replicas =
-        dfs_.namenode_.choose_replicas(writer_.id(), replication_);
-    Bytes slice(pending_.begin(), pending_.begin() + real_block_);
-    pending_.erase(pending_.begin(), pending_.begin() + real_block_);
-    block.crc = crc32c(slice);
-    info_.blocks.push_back(block);
-    co_await dfs_.write_block(writer_, block, std::move(slice), scale_);
+  // Each full block is assembled once, at its exact size, from the
+  // buffered head plus the new bytes; only a partial tail is buffered.
+  while (pending_.size() + data.size() >= real_block_) {
+    const size_t take = real_block_ - pending_.size();
+    auto slice = std::make_shared<Bytes>();
+    slice->reserve(real_block_);
+    slice->insert(slice->end(), pending_.begin(), pending_.end());
+    slice->insert(slice->end(), data.begin(), data.begin() + take);
+    pending_.clear();
+    data = data.subspan(take);
+    co_await ship(std::move(slice));
   }
+  pending_.insert(pending_.end(), data.begin(), data.end());
+}
+
+sim::Task<> MiniDfs::Writer::ship(std::shared_ptr<const Bytes> slice) {
+  BlockInfo block;
+  block.id = dfs_.namenode_.next_block_id();
+  block.real_offset =
+      info_.blocks.empty()
+          ? 0
+          : info_.blocks.back().real_offset + info_.blocks.back().real_len;
+  block.real_len = slice->size();
+  block.replicas = dfs_.namenode_.choose_replicas(writer_.id(), replication_);
+  block.crc = crc32c(*slice);
+  info_.blocks.push_back(block);
+  co_await dfs_.write_block(writer_, block, std::move(slice), scale_);
 }
 
 sim::Task<Status> MiniDfs::Writer::close() {
@@ -259,19 +272,10 @@ sim::Task<Status> MiniDfs::Writer::close() {
   closed_ = true;
   co_await dfs_.rpc(writer_);  // create()
   if (!pending_.empty() || info_.blocks.empty()) {
-    BlockInfo block;
-    block.id = dfs_.namenode_.next_block_id();
-    block.real_offset =
-        info_.blocks.empty()
-            ? 0
-            : info_.blocks.back().real_offset + info_.blocks.back().real_len;
-    block.real_len = pending_.size();
-    block.replicas =
-        dfs_.namenode_.choose_replicas(writer_.id(), replication_);
-    block.crc = crc32c(pending_);
-    info_.blocks.push_back(block);
-    co_await dfs_.write_block(writer_, block, std::move(pending_), scale_);
-    pending_.clear();
+    // Copied out at its exact size: `pending_` carries growth capacity.
+    co_await ship(std::make_shared<const Bytes>(pending_.begin(),
+                                                pending_.end()));
+    pending_ = Bytes();
   }
   co_await dfs_.rpc(writer_);  // complete()
   co_return dfs_.namenode_.create(info_);
@@ -329,7 +333,7 @@ sim::Task<int> MiniDfs::replicate_under_replicated() {
         // prune the corrupt ones).
         auto& metrics = cluster_.engine().metrics();
         Host* source = nullptr;
-        Bytes payload;
+        std::shared_ptr<const Bytes> payload;
         double scale = 1.0;
         std::uint64_t modeled = 0;
         const std::vector<int> sources = block.replicas;
@@ -351,7 +355,7 @@ sim::Task<int> MiniDfs::replicate_under_replicated() {
             continue;
           }
           source = &cand;
-          payload = Bytes(*view->data);
+          payload = view->data;
           scale = view->scale;
           modeled = view->modeled_size();
           break;
@@ -453,11 +457,13 @@ sim::Task<Result<Bytes>> MiniDfs::read_block(Host& reader,
 sim::Task<Result<Bytes>> MiniDfs::read(Host& reader, std::string path) {
   auto info = namenode_.stat(path);
   if (!info.ok()) co_return Result<Bytes>(info.status());
+  const size_t blocks = info->blocks.size();
   Bytes out;
-  out.reserve(info->real_size);
-  for (size_t b = 0; b < info->blocks.size(); ++b) {
+  if (blocks > 1) out.reserve(info->real_size);
+  for (size_t b = 0; b < blocks; ++b) {
     auto block = co_await read_block(reader, path, b);
     if (!block.ok()) co_return Result<Bytes>(block.status());
+    if (blocks == 1) co_return std::move(block).value();  // no reassembly
     out.insert(out.end(), block->begin(), block->end());
   }
   co_return out;

@@ -135,6 +135,10 @@ class MiniDfs {
     std::uint64_t real_written() const { return info_.real_size; }
 
    private:
+    // Places, checksums and ships the next block; `slice` must be exact
+    // size, because every replica stores it as is.
+    sim::Task<> ship(std::shared_ptr<const Bytes> slice);
+
     MiniDfs& dfs_;
     Host& writer_;
     double scale_;
@@ -181,16 +185,18 @@ class MiniDfs {
   sim::Task<> rpc(Host& from);
   bool is_datanode(int host) const;
   // Ships one block through the replica pipeline (stages overlapped) and
-  // writes it on every replica's disk.
-  sim::Task<> write_block(Host& writer, BlockInfo block, Bytes slice,
-                          double scale);
+  // writes it on every replica's disk. Every replica stores `slice`
+  // itself: the buffer is immutable, and corruption is a flag on a
+  // replica's file, never a change to the bytes (DESIGN.md §6.2).
+  sim::Task<> write_block(Host& writer, BlockInfo block,
+                          std::shared_ptr<const Bytes> slice, double scale);
   // Bounded-retry, checksum-verified write of one replica (shared by the
   // pipeline stages and the replication monitor): injected IO errors are
   // retried, a full disk backs off until the window drains, and a
   // silently corrupted write is redone — the DataNode verifies received
   // data against the client checksum before acking the stage.
-  sim::Task<> write_replica(Host& dn, std::uint64_t block_id, Bytes slice,
-                            double scale);
+  sim::Task<> write_replica(Host& dn, std::uint64_t block_id,
+                            std::shared_ptr<const Bytes> slice, double scale);
   // Drops a corrupt replica from the live block map (the DataNode's
   // block scanner reported a bad block) and kicks the replication
   // monitor to restore the replica count from a clean copy.

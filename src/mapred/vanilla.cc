@@ -91,9 +91,11 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   std::vector<Segment> on_disk;
   int spill_seq = 0;
 
-  // Writes `data` verified to the next `kind` spill file and records it
-  // as an on-disk segment of `modeled` bytes.
-  sim::Task<> spill(JobRuntime& job, const char* kind, Bytes data,
+  // Writes `data` (exact size: the file keeps it) verified to the next
+  // `kind` spill file and records it as an on-disk segment of `modeled`
+  // bytes.
+  sim::Task<> spill(JobRuntime& job, const char* kind,
+                    std::shared_ptr<const Bytes> data,
                     std::uint64_t modeled) {
     const std::string path = "shuffle/" + job.spec.name + "/r" +
                              std::to_string(reduce_id) + "/" + kind +
@@ -105,17 +107,24 @@ struct VanillaShuffleEngine::ReduceShuffleState {
     on_disk.push_back(Segment{nullptr, path, modeled});
   }
 
-  // K-way merges `sources`, charges merge CPU for `modeled` bytes, and
-  // spills the run. The drain is a parallel work event traced as
-  // `label`: it only touches the merger, the local writer, and
-  // work-local views.
+  // K-way merges the sorted `runs`, charges merge CPU for `modeled`
+  // bytes, and spills the result. A merge re-encodes every record of its
+  // runs, so the output is exactly their total size. The drain is a
+  // parallel work event traced as `label`: it only touches the merger,
+  // the local writer, and work-local views.
   sim::Task<> merge_and_spill(
-      JobRuntime& job,
-      std::vector<std::unique_ptr<dataplane::KvSource>> sources,
+      JobRuntime& job, std::vector<std::shared_ptr<const Bytes>> runs,
       std::uint64_t modeled, std::string label, const char* kind) {
+    std::vector<std::unique_ptr<dataplane::KvSource>> sources;
+    std::uint64_t real_bytes = 0;
+    for (const auto& run : runs) {
+      sources.push_back(std::make_unique<dataplane::BytesSource>(run));
+      real_bytes += run->size();
+    }
     dataplane::StreamMerger merger(std::move(sources));
-    Bytes merged;
-    ByteWriter writer(&merged);
+    auto merged = std::make_shared<Bytes>();
+    merged->reserve(real_bytes);
+    ByteWriter writer(merged.get());
     co_await job.engine.parallel(
         host.id(), [&](sim::ParallelEffects& effects) {
           dataplane::KvView kv;
@@ -224,12 +233,10 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
   const std::vector<Segment> segments = std::exchange(state.in_mem, {});
   const std::uint64_t modeled = std::exchange(state.in_mem_modeled, 0);
   // Merge in memory, then spill the merged run to local disk.
-  std::vector<std::unique_ptr<dataplane::KvSource>> sources;
-  for (const auto& segment : segments) {
-    sources.push_back(std::make_unique<dataplane::BytesSource>(segment.data));
-  }
+  std::vector<std::shared_ptr<const Bytes>> runs;
+  for (const auto& segment : segments) runs.push_back(segment.data);
   co_await state.merge_and_spill(
-      job, std::move(sources), modeled,
+      job, std::move(runs), modeled,
       "in_mem_merge_r" + std::to_string(state.reduce_id), "spill");
 }
 
@@ -349,7 +356,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
   if (modeled > state.budget / 4) {
     // Too big for the in-memory buffer: straight to disk (Copier
     // behaviour for oversized map outputs).
-    co_await state.spill(job, "big", Bytes(*segment.data), modeled);
+    co_await state.spill(job, "big", segment.data, modeled);
     co_return;
   }
 
@@ -433,7 +440,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
                                state.on_disk.begin() + factor);
     state.on_disk.erase(state.on_disk.begin(),
                         state.on_disk.begin() + factor);
-    std::vector<std::unique_ptr<dataplane::KvSource>> sources;
+    std::vector<std::shared_ptr<const Bytes>> runs;
     std::uint64_t modeled = 0;
     for (const auto& segment : group) {
       // Spills were write-verified at creation; this absorbs injected
@@ -441,10 +448,10 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       auto view = co_await read_file_verified(job, host, segment.disk_path);
       HMR_CHECK_MSG(view.ok(), "merge-pass read failed: " +
                                    view.status().to_string());
-      sources.push_back(std::make_unique<dataplane::BytesSource>(view->data));
+      runs.push_back(view->data);
       modeled += segment.modeled;
     }
-    co_await state.merge_and_spill(job, std::move(sources), modeled,
+    co_await state.merge_and_spill(job, std::move(runs), modeled,
                                    "merge_pass_r" + std::to_string(reduce_id),
                                    "pass");
     for (const auto& segment : group) {

@@ -29,10 +29,10 @@ namespace hmr::storage {
 // reader survives concurrent deletion (as an OS fd would).
 //
 // `corrupted` models silent bit-flips: the payload buffer is shared with
-// the authoritative in-memory copy (map outputs alias it), so injected
-// corruption never mutates the bytes — it sets this flag instead, and a
-// checksum verify over a flagged view "fails" exactly as a real CRC over
-// flipped bits would (DESIGN.md §6.2).
+// every other holder of it (map outputs, the other replicas of an HDFS
+// block), so injected corruption never mutates the bytes — it sets this
+// flag instead, and a checksum verify over a flagged view "fails" exactly
+// as a real CRC over flipped bits would (DESIGN.md §6.2).
 struct FileView {
   std::shared_ptr<const Bytes> data;
   double scale = 1.0;
@@ -56,10 +56,14 @@ class LocalFS {
   // --- timed operations (sim tasks) ---
 
   // Creates or replaces `path`, charging a sequential write of
-  // data.size()*scale bytes to the file's disk.
-  sim::Task<Status> write_file(std::string path, Bytes data,
+  // data->size()*scale bytes to the file's disk. The file keeps `data`
+  // itself, so the caller must hand over an exact-size buffer: any
+  // spare capacity stays resident as long as the file does.
+  sim::Task<Status> write_file(std::string path,
+                               std::shared_ptr<const Bytes> data,
                                double scale = 1.0);
-  // Appends, charging a sequential write of data_len*scale.
+  // Appends into a fresh buffer (views of the old payload keep it),
+  // charging a sequential write of data_len*scale.
   sim::Task<Status> append(std::string path, std::span<const std::uint8_t> data);
 
   // Reads the whole file (sequential charge).
@@ -106,7 +110,7 @@ class LocalFS {
 
  private:
   struct File {
-    std::shared_ptr<Bytes> data;
+    std::shared_ptr<const Bytes> data;
     double scale = 1.0;
     size_t disk_index = 0;
     std::uint64_t stream_id = 0;

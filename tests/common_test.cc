@@ -3,6 +3,8 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/bytes.h"
@@ -573,6 +575,63 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   Bytes b = a;
   b[31] ^= 1;
   EXPECT_NE(crc32c(a), crc32c(b));
+}
+
+// RFC 3720 (iSCSI) §B.4 CRC-32C test vectors.
+std::vector<std::pair<Bytes, std::uint32_t>> rfc3720_vectors() {
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = std::uint8_t(31 - i);
+  }
+  return {{Bytes(32, 0x00), 0x8A9136AAu},
+          {Bytes(32, 0xFF), 0x62A8AB43u},
+          {ascending, 0x46DD794Eu},
+          {descending, 0x113FDB5Cu}};
+}
+
+TEST(Crc32Test, Rfc3720VectorsOnTablePath) {
+  for (const auto& [data, want] : rfc3720_vectors()) {
+    EXPECT_EQ(crc32c_table(data), want);
+  }
+}
+
+TEST(Crc32Test, Rfc3720VectorsOnHardwarePath) {
+  if (!crc32c_hardware_supported()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction; crc32c() runs "
+                    "the table path, which Rfc3720VectorsOnTablePath covers";
+  }
+  for (const auto& [data, want] : rfc3720_vectors()) {
+    EXPECT_EQ(crc32c_hardware(data), want);
+    EXPECT_EQ(crc32c(data), want);
+  }
+}
+
+// Every length across the 8-byte steps and the byte tail, at every
+// alignment of the start, with each result seeding the next call.
+TEST(Crc32Test, HardwarePathMatchesTableAtEveryLengthAndOffset) {
+  if (!crc32c_hardware_supported()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction; only the table "
+                    "path exists here";
+  }
+  Bytes buffer(1100 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : buffer) {
+    x = x * 1664525u + 1013904223u;
+    b = std::uint8_t(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t hw_seed = std::uint32_t(offset);
+    std::uint32_t table_seed = hw_seed;
+    for (size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, len);
+      hw_seed = crc32c_hardware(data, hw_seed);
+      table_seed = crc32c_table(data, table_seed);
+      ASSERT_EQ(hw_seed, table_seed) << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32c(data, table_seed), crc32c_table(data, table_seed));
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -182,6 +183,41 @@ TEST(SegmentTest, PendingBytesTracksSerializedSize) {
   EXPECT_EQ(builder.pending_bytes(), 2 * pair.serialized_size());
   const MapOutput output = builder.build();
   EXPECT_EQ(output.total_bytes(), 2 * pair.serialized_size());
+}
+
+// Storage keeps the built buffer as it is, so it must carry no growth
+// capacity, whether a combiner shrinks the output or grows it.
+TEST(SegmentTest, BuildOutputIsExactSize) {
+  HashPartitioner hash;
+  const CombineFn keep_first = [](const Bytes& key,
+                                  const std::vector<Bytes>& values,
+                                  const std::function<void(KvPair)>& emit) {
+    emit(KvPair{key, values.front()});
+  };
+  const CombineFn emit_twice = [](const Bytes& key,
+                                  const std::vector<Bytes>& values,
+                                  const std::function<void(KvPair)>& emit) {
+    for (const auto& value : values) {
+      emit(KvPair{key, value});
+      emit(KvPair{key, value});
+    }
+  };
+  for (const CombineFn* combiner : {static_cast<const CombineFn*>(nullptr),
+                                    &keep_first, &emit_twice}) {
+    MapOutputBuilder builder(3, hash);
+    for (int i = 0; i < 300; ++i) {
+      builder.add(make_kv("key" + std::to_string(i % 20), std::string(37, 'v')));
+    }
+    const MapOutput output = builder.build(combiner);
+    EXPECT_EQ(output.data->capacity(), output.data->size());
+    std::uint64_t records = 0;
+    for (int p = 0; p < 3; ++p) {
+      records += decode_run(output.partition_bytes(p)).value().size();
+    }
+    EXPECT_EQ(records, combiner == nullptr      ? 300u
+                       : combiner == &keep_first ? 20u
+                                                 : 600u);
+  }
 }
 
 TEST(SegmentTest, IndexEncodeDecodeRoundTrip) {

@@ -3,9 +3,12 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/units.h"
 #include "hdfs/hdfs.h"
+#include "sim/fault.h"
+#include "storage/localfs.h"
 
 namespace hmr::hdfs {
 using hmr::kMiB;
@@ -365,8 +368,8 @@ TEST(HdfsChecksumTest, CorruptReplicaDetectedOnRead) {
   const auto block_files = w.host(1).fs().list("dfs/");
   ASSERT_EQ(block_files.size(), 1u);
   w.engine.spawn([](DfsWorld& w, std::string path) -> Task<> {
-    Bytes garbage(1000, 0xEE);
-    EXPECT_TRUE((co_await w.host(1).fs().write_file(path, std::move(garbage))).ok());
+    auto garbage = std::make_shared<const Bytes>(1000, 0xEE);
+    EXPECT_TRUE((co_await w.host(1).fs().write_file(path, garbage)).ok());
     auto read = co_await w.dfs->read(w.host(2), "/x");
     EXPECT_FALSE(read.ok());
     EXPECT_NE(read.status().message().find("checksum"), std::string::npos);
@@ -493,6 +496,123 @@ TEST(HdfsFaultTest, ReplicationCapsAtLiveNodeCount) {
   }(w, copied));
   w.engine.run();
   EXPECT_EQ(w.dfs->under_replicated_blocks(), 0);
+}
+
+}  // namespace
+}  // namespace hmr::hdfs
+
+namespace hmr::hdfs {
+namespace {
+
+// The stored file of `block` on every host that holds a replica of it.
+std::vector<storage::FileView> replica_views(DfsWorld& w,
+                                             const BlockInfo& block) {
+  std::vector<storage::FileView> views;
+  for (int replica : block.replicas) {
+    views.push_back(
+        w.host(replica).fs().peek("dfs/blk_" + std::to_string(block.id)).value());
+  }
+  return views;
+}
+
+// Every replica, including one the replication monitor re-creates,
+// stores the one buffer the writer built.
+TEST(HdfsSharingTest, ReplicasShareOneBuffer) {
+  DfsWorld w;  // 4 DataNodes, replication 3
+  w.engine.spawn([](DfsWorld& w) -> Task<> {
+    EXPECT_TRUE((co_await w.dfs->write(w.host(1), "/s", pattern(3000))).ok());
+  }(w));
+  w.engine.run();
+  const BlockInfo block = w.dfs->stat("/s").value().blocks.at(0);
+  const auto views = replica_views(w, block);
+  ASSERT_EQ(views.size(), 3u);
+  for (const auto& view : views) {
+    EXPECT_EQ(view.data.get(), views[0].data.get());
+  }
+
+  w.dfs->kill_datanode(block.replicas[1]);
+  w.engine.spawn([](DfsWorld& w) -> Task<> {
+    EXPECT_EQ(co_await w.dfs->replicate_under_replicated(), 1);
+  }(w));
+  w.engine.run();
+  const BlockInfo healed = w.dfs->stat("/s").value().blocks.at(0);
+  ASSERT_EQ(healed.replicas.size(), 3u);
+  for (const auto& view : replica_views(w, healed)) {
+    EXPECT_EQ(view.data.get(), views[0].data.get());
+  }
+}
+
+// Corruption is a flag on one replica's file, never a change to the
+// shared bytes: the other replicas stay clean and the file reads back.
+TEST(HdfsSharingTest, CorruptingOneReplicaLeavesTheOthersClean) {
+  for (const bool at_rest : {true, false}) {
+    SCOPED_TRACE(at_rest ? "mark_corrupt" : "read corruption");
+    DfsWorld w;
+    const Bytes data = pattern(3000);
+    Bytes got;
+    w.engine.spawn([](DfsWorld& w, const Bytes& data) -> Task<> {
+      EXPECT_TRUE((co_await w.dfs->write(w.host(1), "/c", data)).ok());
+    }(w, data));
+    w.engine.run();
+    const BlockInfo block = w.dfs->stat("/c").value().blocks.at(0);
+    ASSERT_EQ(block.replicas.size(), 3u);
+    const int bad = block.replicas[0];
+    auto& bad_fs = w.host(bad).fs();
+    if (at_rest) {
+      ASSERT_TRUE(bad_fs.mark_corrupt("dfs/blk_" + std::to_string(block.id)).ok());
+    } else {
+      sim::DiskFault fault;
+      fault.read_corrupt_prob = 1.0;
+      bad_fs.arm_fault(fault, Rng(1, "test.read_corrupt"));
+    }
+    // Reading on the bad host tries its local replica first.
+    w.engine.spawn([](DfsWorld& w, int reader, Bytes& got) -> Task<> {
+      auto back = co_await w.dfs->read(w.host(reader), "/c");
+      EXPECT_TRUE(back.ok());
+      if (back.ok()) got = std::move(back.value());
+    }(w, bad, got));
+    w.engine.run();
+    EXPECT_EQ(got, data);
+    EXPECT_GE(w.engine.metrics().snapshot().counter(
+                  "hdfs.read.checksum_mismatches"),
+              1);
+    for (size_t r = 1; r < block.replicas.size(); ++r) {
+      const auto view = w.host(block.replicas[r])
+                            .fs()
+                            .peek("dfs/blk_" + std::to_string(block.id))
+                            .value();
+      EXPECT_FALSE(view.corrupted);
+      EXPECT_EQ(*view.data, data);
+    }
+  }
+}
+
+// Storage keeps what it is given, so no stored block may carry growth
+// capacity: full blocks and the tail the writer flushes on close.
+TEST(HdfsSharingTest, StoredBlocksAreExactSize) {
+  HdfsParams params;
+  params.block_size = 1000;
+  params.replication = 2;
+  DfsWorld w(4, params);
+  w.engine.spawn([](DfsWorld& w) -> Task<> {
+    MiniDfs::Writer out(*w.dfs, w.host(1), "/exact", 1.0);
+    for (int i = 0; i < 9; ++i) co_await out.append(pattern(290));
+    EXPECT_TRUE((co_await out.close()).ok());
+    EXPECT_TRUE((co_await w.dfs->write(w.host(2), "/small", pattern(123))).ok());
+  }(w));
+  w.engine.run();
+  size_t blocks = 0;
+  for (const char* path : {"/exact", "/small"}) {
+    const FileInfo info = w.dfs->stat(path).value();
+    for (const auto& block : info.blocks) {
+      for (const auto& view : replica_views(w, block)) {
+        EXPECT_EQ(view.data->size(), block.real_len);
+        EXPECT_EQ(view.data->capacity(), view.data->size()) << path;
+      }
+      ++blocks;
+    }
+  }
+  EXPECT_EQ(blocks, 4u);  // 2610 bytes: 2 full + a 610-byte tail, + 1
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/units.h"
+#include "mapred/integrity.h"
+#include "mapred/runtime.h"
 #include "mapred/types.h"
 #include "sim/fault.h"
 #include "storage/disk.h"
@@ -108,7 +110,7 @@ TEST(LocalFsFaultTest, TransientIoErrorsSurfaceAsUnavailable) {
   fs->arm_fault(fault, engine.make_rng("test.disk"));
   Status write = Status::Ok();
   engine.spawn([](storage::LocalFS& fs, Status& out) -> Task<> {
-    out = co_await fs.write_file("f", Bytes(1024), 1.0);
+    out = co_await fs.write_file("f", std::make_shared<const Bytes>(1024), 1.0);
   }(*fs, write));
   engine.run();
   EXPECT_EQ(write.code(), StatusCode::kUnavailable);
@@ -124,14 +126,14 @@ TEST(LocalFsFaultTest, StickyWriteCorruptionClearsOnRewrite) {
   bool first_corrupt = false;
   bool second_corrupt = true;
   engine.spawn([](storage::LocalFS& fs, bool& first, bool& second) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", Bytes(1024), 1.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", std::make_shared<const Bytes>(1024), 1.0)).ok());
     auto view = co_await fs.read_file("f");
     EXPECT_TRUE(view.ok());
     if (!view.ok()) co_return;
     first = view->corrupted;
     // Disarm and rewrite: sticky corruption must clear with the payload.
     fs.arm_fault(sim::DiskFault{}, Rng(1, "test.disk2"));
-    EXPECT_TRUE((co_await fs.write_file("f", Bytes(1024), 1.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", std::make_shared<const Bytes>(1024), 1.0)).ok());
     view = co_await fs.read_file("f");
     EXPECT_TRUE(view.ok());
     if (!view.ok()) co_return;
@@ -147,7 +149,7 @@ TEST(LocalFsFaultTest, MarkCorruptIsStickyUntilRewritten) {
   auto fs = make_fs(engine);
   bool corrupt = false;
   engine.spawn([](storage::LocalFS& fs, bool& corrupt) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", Bytes(64), 1.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", std::make_shared<const Bytes>(64), 1.0)).ok());
     EXPECT_TRUE(fs.mark_corrupt("f").ok());
     auto view = co_await fs.read_file("f");
     EXPECT_TRUE(view.ok());
@@ -169,9 +171,9 @@ TEST(LocalFsFaultTest, DiskFullWindowRejectsThenRecovers) {
   Status after = Status::Ok();
   engine.spawn([](Engine& engine, storage::LocalFS& fs, Status& during,
                   Status& after) -> Task<> {
-    during = co_await fs.write_file("f", Bytes(64), 1.0);
+    during = co_await fs.write_file("f", std::make_shared<const Bytes>(64), 1.0);
     co_await engine.delay(6.0);  // past the window
-    after = co_await fs.write_file("f", Bytes(64), 1.0);
+    after = co_await fs.write_file("f", std::make_shared<const Bytes>(64), 1.0);
   }(engine, *fs, during, after));
   engine.run();
   EXPECT_EQ(during.code(), StatusCode::kResourceExhausted);
@@ -188,7 +190,7 @@ TEST(LocalFsFaultTest, DegradedDiskIsProportionallySlower) {
   double degraded = 0;
   engine.spawn([](Engine& engine, storage::LocalFS& fs, std::uint64_t n,
                   double& healthy, double& degraded) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", Bytes(size_t(n)), 1.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", std::make_shared<const Bytes>(size_t(n)), 1.0)).ok());
     const double t0 = engine.now();
     EXPECT_TRUE((co_await fs.read_file("f")).ok());
     healthy = engine.now() - t0;
@@ -467,6 +469,40 @@ TEST(HdfsFailoverTest, LastReplicaIsNeverPruned) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->blocks[0].replicas.size(), 1u);
   EXPECT_TRUE(w.dfs->peek("/f").ok());
+}
+
+// Every attempt of a verified write stores the caller's buffer itself:
+// the rewrite after a silently corrupted write shares it too.
+TEST(VerifiedWriteTest, RetryStoresTheSameBuffer) {
+  DfsWorld w;
+  mapred::JobSpec spec;
+  spec.conf.set_int(mapred::kNumReduces, 1);
+  mapred::JobRuntime job(*w.cluster, *w.network, *w.dfs, spec, {}, 0);
+  net::Host& host = w.host(1);
+  sim::DiskFault fault;
+  fault.write_corrupt_prob = 1.0;
+  host.fs().arm_fault(fault, Rng(1, "test.write_corrupt"));
+  const auto payload = std::make_shared<const Bytes>(pattern(4096));
+  Status written = Status::Internal("not run");
+  w.engine.spawn([](mapred::JobRuntime& job, net::Host& host,
+                    std::shared_ptr<const Bytes> payload,
+                    Status& out) -> Task<> {
+    out = co_await mapred::write_file_verified(job, host, "spill", payload,
+                                               1.0);
+  }(job, host, payload, written));
+  // Clears the fault while the first (corrupted) write is on the disk,
+  // so the rewrite lands clean.
+  w.engine.spawn([](Engine& engine, net::Host& host) -> Task<> {
+    co_await engine.delay(1e-6);
+    host.fs().arm_fault(sim::DiskFault{}, Rng(2, "test.clean"));
+  }(w.engine, host));
+  w.engine.run();
+  EXPECT_TRUE(written.ok()) << written.to_string();
+  EXPECT_EQ(w.engine.metrics().snapshot().counter("storage.spill.rewrites"),
+            1);
+  const auto stored = host.fs().peek("spill").value();
+  EXPECT_FALSE(stored.corrupted);
+  EXPECT_EQ(stored.data.get(), payload.get());
 }
 
 }  // namespace

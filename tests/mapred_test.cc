@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/units.h"
@@ -301,6 +302,49 @@ TEST(FaultToleranceTest, RdmaEngineSurvivesFailuresToo) {
   auto report = workloads::validate_output(bed.dfs(), "/out");
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report->valid_terasort(*digest));
+}
+
+// Every LocalFS file a vanilla job writes — HDFS blocks, map outputs,
+// oversized-fetch spills, in-memory merge spills and merge passes — holds
+// an exact-size buffer: storage keeps the buffer it is given, so growth
+// capacity would stay resident as long as the file. A poller samples
+// every host's files while the job runs (spills are gone at the end).
+TEST(StoredPayloadTest, VanillaJobStoresExactSizeBuffers) {
+  std::set<std::string> kinds_seen;
+  // A 24 MB shuffle buffer sends each 8 MB segment straight to disk
+  // ("big"); 40 MB keeps them in memory and merge-spills every few.
+  for (const std::uint64_t buffer : {24 * kMiB, 40 * kMiB}) {
+    SmallJob small;
+    Testbed bed(small.bed_spec);
+    ASSERT_TRUE(bed.generate("teragen", small.gen).ok());
+    Conf conf;
+    conf.set_int(kNumReduces, 1);
+    conf.set_bytes(kShuffleBufferBytes, buffer);
+    conf.set_int(kIoSortFactor, 2);
+    auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
+    int inexact = 0;
+    bed.engine().spawn([](Testbed& bed, std::set<std::string>& kinds,
+                          int& inexact) -> sim::Task<> {
+      for (int i = 0; i < 4000; ++i) {
+        co_await bed.engine().delay(0.01);
+        for (net::Host* host : bed.cluster().hosts()) {
+          for (const auto& path : host->fs().list("")) {
+            const auto view = host->fs().peek(path).value();
+            if (view.data->capacity() != view.data->size()) ++inexact;
+            if (path.starts_with("shuffle/")) {
+              const auto name = path.substr(path.rfind('/') + 1);
+              kinds.insert(name.substr(0, name.find_first_of("0123456789")));
+            }
+          }
+        }
+      }
+    }(bed, kinds_seen, inexact));
+    const auto result = bed.run_job(std::move(job));
+    EXPECT_EQ(std::int64_t(result.output_records),
+              result.counters.at("MAP_INPUT_RECORDS"));
+    EXPECT_EQ(inexact, 0) << "shuffle buffer " << buffer;
+  }
+  EXPECT_EQ(kinds_seen, (std::set<std::string>{"big", "pass", "spill"}));
 }
 
 TEST(CombinerTest, ShrinksShuffleAndPreservesResults) {

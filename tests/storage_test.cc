@@ -16,6 +16,11 @@ Bytes make_bytes(size_t n, std::uint8_t fill = 0x5a) {
   return Bytes(n, fill);
 }
 
+// An exact-size stored payload, the form LocalFS::write_file takes.
+std::shared_ptr<const Bytes> shared_bytes(size_t n, std::uint8_t fill = 0x5a) {
+  return std::make_shared<const Bytes>(n, fill);
+}
+
 std::unique_ptr<LocalFS> make_fs(Engine& engine, int disks,
                                  bool ssd = false) {
   std::vector<std::unique_ptr<Disk>> v;
@@ -143,8 +148,8 @@ TEST(LocalFsTest, WriteReadRoundTrip) {
   auto fs = make_fs(engine, 1);
   bool checked = false;
   engine.spawn([](LocalFS& fs, bool& checked) -> Task<> {
-    Bytes payload = make_bytes(1000, 0x42);
-    EXPECT_TRUE((co_await fs.write_file("dir/file", payload)).ok());
+    EXPECT_TRUE(
+        (co_await fs.write_file("dir/file", shared_bytes(1000, 0x42))).ok());
     auto view = co_await fs.read_file("dir/file");
     EXPECT_TRUE(view.ok());
     if (view.ok()) {
@@ -155,6 +160,28 @@ TEST(LocalFsTest, WriteReadRoundTrip) {
   }(*fs, checked));
   engine.run();
   EXPECT_TRUE(checked);
+}
+
+// A file holds the buffer it was given (no copy), and a read hands that
+// same buffer out; append swaps in a fresh one.
+TEST(LocalFsTest, WriteFileKeepsTheGivenBuffer) {
+  Engine engine;
+  auto fs = make_fs(engine, 1);
+  const auto payload = shared_bytes(100, 0x11);
+  engine.spawn([](LocalFS& fs, std::shared_ptr<const Bytes> payload) -> Task<> {
+    EXPECT_TRUE((co_await fs.write_file("f", payload)).ok());
+    auto view = co_await fs.read_file("f");
+    EXPECT_TRUE(view.ok());
+    if (view.ok()) {
+      EXPECT_EQ(view->data.get(), payload.get());
+    }
+    EXPECT_TRUE((co_await fs.append("f", make_bytes(3, 0x22))).ok());
+  }(*fs, payload));
+  engine.run();
+  const auto grown = fs->peek("f").value();
+  EXPECT_NE(grown.data.get(), payload.get());
+  EXPECT_EQ(grown.real_size(), 103u);
+  EXPECT_EQ(payload->size(), 100u);  // the given buffer is never mutated
 }
 
 TEST(LocalFsTest, MissingFileErrors) {
@@ -176,7 +203,7 @@ TEST(LocalFsTest, ScaleMultipliesModeledSize) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(1024), /*scale=*/100.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(1024), /*scale=*/100.0)).ok());
   }(*fs));
   engine.run();
   EXPECT_EQ(fs->real_size("f").value(), 1024u);
@@ -189,7 +216,7 @@ TEST(LocalFsTest, ScaledReadChargesModeledBytes) {
   auto fs = make_fs(engine, 1);
   double write_done = 0, read_done = 0;
   engine.spawn([](Engine& e, LocalFS& fs, double& w, double& r) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(1'000'000), /*scale=*/50.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(1'000'000), /*scale=*/50.0)).ok());
     w = e.now();
     EXPECT_TRUE((co_await fs.read_file("f")).ok());
     r = e.now();
@@ -203,7 +230,7 @@ TEST(LocalFsTest, AppendAccumulates) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("log", make_bytes(10))).ok());
+    EXPECT_TRUE((co_await fs.write_file("log", shared_bytes(10))).ok());
     co_await fs.append("log", make_bytes(5, 0x01));
     co_await fs.append("log", make_bytes(5, 0x02));
   }(*fs));
@@ -218,7 +245,7 @@ TEST(LocalFsTest, AppendIsCopyOnWriteUnderReaders) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(4, 0xaa))).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(4, 0xaa))).ok());
     auto before = fs.peek("f").value();
     co_await fs.append("f", make_bytes(4, 0xbb));
     EXPECT_EQ(before.real_size(), 4u);  // old view untouched
@@ -232,7 +259,7 @@ TEST(LocalFsTest, RoundRobinAcrossDisks) {
   auto fs = make_fs(engine, 2);
   engine.spawn([](LocalFS& fs) -> Task<> {
     for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE((co_await fs.write_file("f" + std::to_string(i), make_bytes(1000))).ok());
+      EXPECT_TRUE((co_await fs.write_file("f" + std::to_string(i), shared_bytes(1000))).ok());
     }
   }(*fs));
   engine.run();
@@ -247,7 +274,7 @@ TEST(LocalFsTest, TwoDisksDoubleThroughput) {
     for (int i = 0; i < 4; ++i) {
       engine.spawn([](LocalFS& fs, int i) -> Task<> {
         EXPECT_TRUE((co_await fs.write_file("f" + std::to_string(i),
-                               make_bytes(1'000'000), 50.0)).ok());
+                               shared_bytes(1'000'000), 50.0)).ok());
       }(*fs, i));
     }
     return engine.run();
@@ -261,7 +288,7 @@ TEST(LocalFsTest, ReadRangeBoundsChecked) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(100))).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(100))).ok());
     auto ok = co_await fs.read_range("f", 50, 50);
     EXPECT_TRUE(ok.ok());
     auto bad = co_await fs.read_range("f", 80, 40);
@@ -275,9 +302,9 @@ TEST(LocalFsTest, RemoveRenameList) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("a/1", make_bytes(1))).ok());
-    EXPECT_TRUE((co_await fs.write_file("a/2", make_bytes(1))).ok());
-    EXPECT_TRUE((co_await fs.write_file("b/1", make_bytes(1))).ok());
+    EXPECT_TRUE((co_await fs.write_file("a/1", shared_bytes(1))).ok());
+    EXPECT_TRUE((co_await fs.write_file("a/2", shared_bytes(1))).ok());
+    EXPECT_TRUE((co_await fs.write_file("b/1", shared_bytes(1))).ok());
   }(*fs));
   engine.run();
   EXPECT_EQ(fs->list("a/").size(), 2u);
@@ -293,8 +320,8 @@ TEST(LocalFsTest, TotalModeledBytes) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("x", make_bytes(100), 10.0)).ok());
-    EXPECT_TRUE((co_await fs.write_file("y", make_bytes(50), 2.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("x", shared_bytes(100), 10.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("y", shared_bytes(50), 2.0)).ok());
   }(*fs));
   engine.run();
   EXPECT_EQ(fs->total_modeled_bytes(), 1100u);
@@ -304,10 +331,10 @@ TEST(LocalFsTest, OverwriteKeepsDiskAssignment) {
   Engine engine;
   auto fs = make_fs(engine, 3);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(10))).ok());
-    EXPECT_TRUE((co_await fs.write_file("g", make_bytes(10))).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(10))).ok());
+    EXPECT_TRUE((co_await fs.write_file("g", shared_bytes(10))).ok());
     // Overwrite:
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(20))).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(20))).ok());
   }(*fs));
   engine.run();
   EXPECT_EQ(fs->real_size("f").value(), 20u);
@@ -327,7 +354,7 @@ TEST(LocalFsTest, SequentialRangeReadsPayOneSeek) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(1'000'000))).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(1'000'000))).ok());
     // Consecutive ranged reads continue one scan.
     for (int i = 0; i < 10; ++i) {
       EXPECT_TRUE((co_await fs.read_range("f", std::uint64_t(i) * 1000, 1000)).ok());
@@ -343,7 +370,7 @@ TEST(LocalFsTest, ReadaheadServesSmallReadsFromPageCache) {
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
     // 1 KB real at scale 4096 = 4 MB modeled: two readahead granules.
-    EXPECT_TRUE((co_await fs.write_file("f", make_bytes(1024), 4096.0)).ok());
+    EXPECT_TRUE((co_await fs.write_file("f", shared_bytes(1024), 4096.0)).ok());
     for (int i = 0; i < 16; ++i) {
       EXPECT_TRUE((co_await fs.read_range("f", std::uint64_t(i) * 64, 64)).ok());
     }
@@ -359,7 +386,7 @@ TEST(LocalFsTest, InterleavedScansKeepSeparateCursors) {
   Engine engine;
   auto fs = make_fs(engine, 1);
   engine.spawn([](LocalFS& fs) -> Task<> {
-    co_await fs.write_file("f", make_bytes(100'000));
+    co_await fs.write_file("f", shared_bytes(100'000));
     // Two interleaved sequential scans at different offsets.
     for (int i = 0; i < 8; ++i) {
       EXPECT_TRUE((co_await fs.read_range("f", std::uint64_t(i) * 100, 100)).ok());
