@@ -1,6 +1,7 @@
 #include "mapred/jobrunner.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "mapred/maptask.h"
 #include "mapred/reducetask.h"
@@ -156,6 +157,23 @@ sim::Task<> JobRunner::reduce_worker(JobRuntime& job,
   done.done();
 }
 
+void JobRunner::release_map_outputs(int job_id) {
+  for (auto& tracker : trackers_) {
+    auto& outputs = tracker->map_outputs;
+    auto it = outputs.lower_bound({job_id, std::numeric_limits<int>::min()});
+    while (it != outputs.end() && it->first.first == job_id) {
+      // remove() fails only on a missing file, and none can be missing:
+      // an entry's path carries its job, map and host ids, and no one
+      // else unlinks a file a tracker serves (record_map_output spares
+      // it when a colliding duplicate loses).
+      const Status removed =
+          tracker->host->fs().remove(it->second.local_path);
+      HMR_CHECK_MSG(removed.ok(), removed.to_string());
+      it = outputs.erase(it);
+    }
+  }
+}
+
 sim::Task<JobResult> JobRunner::run(JobSpec spec) {
   if (trackers_.empty()) {
     const int map_slots = int(spec.conf.get_int(kMapSlots, 4));
@@ -241,6 +259,10 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
                                 ? job->reduces_done_time
                                 : job->engine.now();
   co_await shuffle->stop(*job);
+  // Every responder, servlet, prefetcher and rerun has been joined, so
+  // no request can reach this job's outputs any more. Stale entries a
+  // recovery rerun left on the original host go too.
+  release_map_outputs(job->job_id);
   if (job->spec.conf.get_bool(kMetricsSnapshot, true)) {
     // After stop(): engines fold their cache stats into the result and
     // the registry has every shuffle/net/cache series for the run.

@@ -37,7 +37,16 @@ class JobRunner {
   static std::string engine_name(const Conf& conf);
 
   // Runs the job to completion; deterministic given the engine seed.
+  // Once the shuffle engine has stopped, the job's map outputs are
+  // released from every tracker, so a finished job leaves no
+  // TaskTracker state or local files behind.
   sim::Task<JobResult> run(JobSpec spec);
+
+  // The persistent TaskTrackers, one per tracker host (empty until the
+  // first run()).
+  const std::vector<std::unique_ptr<TaskTrackerState>>& trackers() const {
+    return trackers_;
+  }
 
  private:
   sim::Task<> map_worker(JobRuntime& job, TaskTrackerState& tracker, int slot,
@@ -45,6 +54,9 @@ class JobRunner {
   sim::Task<> reduce_worker(JobRuntime& job, TaskTrackerState& tracker,
                             std::deque<int>& pending, sim::WaitGroup& done);
   sim::Task<> jt_rpc(Host& from);
+  // Erases every `map_outputs` entry of `job_id` on every tracker and
+  // unlinks the local file each one serves.
+  void release_map_outputs(int job_id);
 
   Cluster& cluster_;
   Network& network_;

@@ -30,8 +30,10 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
   Host& host = *tracker.host;
   auto span = sim::maybe_span(job.engine.tracer(), host.name(), "map",
                               "map_" + std::to_string(map_id));
-  const std::string path = "mapout/" + job.spec.name + "/map_" +
-                           std::to_string(map_id) + "_h" +
+  // Keyed by job id, not name: concurrent jobs may share a name, and the
+  // end-of-job sweep must free exactly this job's files.
+  const std::string path = "mapout/" + std::to_string(job.job_id) +
+                           "/map_" + std::to_string(map_id) + "_h" +
                            std::to_string(host.id());
 
   // Task JVM launch / localization.

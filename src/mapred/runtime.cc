@@ -300,10 +300,17 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
     }
     // A speculative duplicate lost the race; its output file is
     // unlinked (best effort — the disk may be faulted) so the loser
-    // releases its spill space.
-    const Status removed =
-        tracker_for_host(host_id).host->fs().remove(info.local_path);
-    (void)removed;
+    // releases its spill space. The one exception: a duplicate that
+    // finished during a rerun on its own host registered as the rerun,
+    // so the rerun lands here with the path that entry serves. That
+    // file stays until the job ends.
+    TaskTrackerState& tracker = tracker_for_host(host_id);
+    const auto served = tracker.map_outputs.find({job_id, map_id});
+    if (served == tracker.map_outputs.end() ||
+        served->second.local_path != info.local_path) {
+      const Status removed = tracker.host->fs().remove(info.local_path);
+      (void)removed;
+    }
     return false;
   }
   // First to finish wins: the committed output fixes which partition

@@ -186,6 +186,13 @@ EngineRun run_engine(const Scenario& scenario, const std::string& engine,
   // After run_job the engine has run dry: every in-flight transmit
   // completed, so conservation laws are checkable on this snapshot.
   run.end_metrics = bed.engine().metrics().snapshot();
+  for (net::Host* host : bed.cluster().hosts()) {
+    for (const auto& path : host->fs().list("")) {
+      if (!path.starts_with("dfs/")) {
+        run.residue_local_files.push_back(host->name() + ":" + path);
+      }
+    }
+  }
 
   auto report = workloads::validate_output(bed.dfs(), "/fuzz/out");
   run.output_present = report.ok();
@@ -410,6 +417,16 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
          "storage.mapout.unserved", "integrity.checksum.mismatches",
          "cache.integrity.evictions", "cache.pressure.evictions",
          "hdfs.replica.failovers", "hdfs.read.checksum_mismatches"});
+  }
+
+  // --- residue ----------------------------------------------------------
+  // The job's map outputs are released when it ends and every spill is
+  // unlinked by its task, so only HDFS blocks may remain.
+  if (!run.residue_local_files.empty()) {
+    add(verdict, "residue.local_files", e,
+        fmt("%zu local files outlive the job, first %s",
+            run.residue_local_files.size(),
+            run.residue_local_files.front().c_str()));
   }
 }
 

@@ -4,7 +4,8 @@
 // the fuzz loop can shrink and report), then checked against:
 //
 //  * per engine (check_engine_run): output.*, shape.*, phase.* sanity,
-//    and conservation.* laws over the metrics registry.
+//    conservation.* laws over the metrics registry, and residue.* (no
+//    local files outlive the job).
 //  * across engines (check_cross_engine): cross.* — identical input,
 //    output digest, record and task counts.
 //  * multi-tenant (check_multi_job, concurrent_jobs >= 2): multijob.*
@@ -44,6 +45,10 @@ struct EngineRun {
   // so in-flight transfers that straddled the job-end snapshot in
   // job.metrics have finished) — conservation laws hold only here.
   MetricsSnapshot end_metrics;
+  // "<host>:<path>" of every LocalFS file left after the job that is not
+  // an HDFS block: a finished job must leave no map outputs or shuffle
+  // spills behind on the persistent TaskTrackers.
+  std::vector<std::string> residue_local_files;
   // Canonical serialization, compared whole by the replay oracles.
   std::string result_json;
 };

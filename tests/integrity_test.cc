@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -318,62 +319,119 @@ TEST(CombinedFaultTest, NetworkAndDiskFaultsTogether) {
 // At-rest rot of published map outputs: a timer keeps marking host 1's
 // map output files sticky-corrupt, so the responder's verified reads
 // fail, fetches time out, the tracker is blacklisted, and the maps
-// re-execute on healthy hosts — with the final output unharmed.
-TEST(MapOutputRotTest, AtRestCorruptionTriggersReExecution) {
-  workloads::TestbedSpec spec;
-  spec.nodes = 3;
-  spec.hdfs.block_size = 16 * kMiB;
-  spec.seed = 53;
-  workloads::Testbed bed(spec);
+// re-execute on healthy hosts.
+class MapOutputRotTest : public ::testing::Test {
+ protected:
+  MapOutputRotTest() : bed_(bed_spec()) {
+    gen_.dir = "/rot/in";
+    gen_.modeled_total = 256 * kMiB;  // 16 maps: publication staggers
+    gen_.part_modeled = 16 * kMiB;
+    gen_.scale = kScale;
+    gen_.seed = 53;
+    auto digest = bed_.generate("teragen", gen_);
+    HMR_CHECK(digest.ok());
+    digest_ = *digest;
+  }
 
-  const double scale = double(256 * kMiB) / double(512 * kKiB);
-  workloads::DataGenSpec gen;
-  gen.dir = "/rot/in";
-  gen.modeled_total = 256 * kMiB;  // 16 maps: publication staggers
-  gen.part_modeled = 16 * kMiB;
-  gen.scale = scale;
-  gen.seed = 53;
-  auto digest = bed.generate("teragen", gen);
-  ASSERT_TRUE(digest.ok());
+  static workloads::TestbedSpec bed_spec() {
+    workloads::TestbedSpec spec;
+    spec.nodes = 3;
+    spec.hdfs.block_size = 16 * kMiB;
+    spec.seed = 53;
+    return spec;
+  }
 
-  Conf conf;
-  conf.set(mapred::kShuffleEngine, "vanilla");
-  conf.set_double(mapred::kKvInflation, scale);
-  conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * scale));
-  conf.set_double(mapred::kFetchTimeoutSec, 2.0);
-  conf.set_double(mapred::kFetchBackoffBaseSec, 0.1);
-  conf.set_double(mapred::kFetchBackoffMaxSec, 0.5);
-  conf.set_int(mapred::kBlacklistFailures, 2);
-  conf.set_int(mapred::kFetchMaxRetries, 200);
-  mapred::JobSpec job =
-      workloads::terasort_job(bed.dfs(), gen.dir, "/rot/out", conf);
+  // Arms the rot monitor and runs the job to its end.
+  mapred::JobResult run_rotting_job() {
+    Conf conf;
+    conf.set(mapred::kShuffleEngine, "vanilla");
+    conf.set_double(mapred::kKvInflation, kScale);
+    conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * kScale));
+    conf.set_double(mapred::kFetchTimeoutSec, 2.0);
+    conf.set_double(mapred::kFetchBackoffBaseSec, 0.1);
+    conf.set_double(mapred::kFetchBackoffMaxSec, 0.5);
+    conf.set_int(mapred::kBlacklistFailures, 2);
+    conf.set_int(mapred::kFetchMaxRetries, 200);
+    mapred::JobSpec job =
+        workloads::terasort_job(bed_.dfs(), gen_.dir, "/rot/out", conf);
 
-  // Rot monitor: every 1.5 s, everything under mapout/ on host 1 goes
-  // bad. Spill scratch files are spared (the producing map has no other
-  // copy to fall back on), and the shots are spaced far enough apart
-  // that a write-verify retry always gets a clean window to land in.
-  bed.engine().spawn([](workloads::Testbed& bed) -> Task<> {
-    auto& fs = bed.cluster().host(1).fs();
-    for (int i = 0; i < 15; ++i) {
-      co_await bed.engine().delay(1.5);
-      for (const auto& path : fs.list("mapout/")) {
-        if (path.find(".spills") != std::string::npos) continue;
-        // lint:ignore(status-discipline): path came from list(), it exists
-        (void)fs.mark_corrupt(path);
+    // Rot monitor: every 1.5 s, everything under mapout/ on host 1 goes
+    // bad. Spill scratch files are spared (the producing map has no other
+    // copy to fall back on), and the shots are spaced far enough apart
+    // that a write-verify retry always gets a clean window to land in.
+    bed_.engine().spawn([](workloads::Testbed& bed) -> Task<> {
+      auto& fs = bed.cluster().host(1).fs();
+      for (int i = 0; i < 15; ++i) {
+        co_await bed.engine().delay(1.5);
+        for (const auto& path : fs.list("mapout/")) {
+          if (path.find(".spills") != std::string::npos) continue;
+          // lint:ignore(status-discipline): path came from list(), it exists
+          (void)fs.mark_corrupt(path);
+        }
       }
-    }
-  }(bed));
+    }(bed_));
+    return bed_.run_job(std::move(job));
+  }
 
-  const auto result = bed.run_job(std::move(job));
-  auto report = workloads::validate_output(bed.dfs(), "/rot/out");
+  static constexpr double kScale = double(256 * kMiB) / double(512 * kKiB);
+  workloads::Testbed bed_;
+  workloads::DataGenSpec gen_;
+  workloads::DatasetDigest digest_;
+};
+
+TEST_F(MapOutputRotTest, AtRestCorruptionTriggersReExecution) {
+  const auto result = run_rotting_job();
+  auto report = workloads::validate_output(bed_.dfs(), "/rot/out");
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->digest.records, digest->records);
-  EXPECT_EQ(report->digest.checksum, digest->checksum);
+  EXPECT_EQ(report->digest.records, digest_.records);
+  EXPECT_EQ(report->digest.checksum, digest_.checksum);
   EXPECT_GT(result.checksum_mismatches, 0u);
   EXPECT_GT(result.map_refetch_reruns, 0u);
-  const auto snapshot = bed.engine().metrics().snapshot();
+  const auto snapshot = bed_.engine().metrics().snapshot();
   EXPECT_GT(snapshot.counter("storage.mapout.unserved"), 0);
   EXPECT_GT(snapshot.counter("storage.corrupt.read_failures"), 0);
+}
+
+// A rerun re-homes the served output and leaves a stale entry and file
+// on the original host; the end-of-job sweep removes those too.
+TEST_F(MapOutputRotTest, RerunLeavesNothingOnTheOriginalHost) {
+  // Maps that, at some instant, had an entry on host 1 and on another
+  // host at once: re-homed away from host 1 with the stale entry kept.
+  std::set<int> rehomed;
+  bed_.engine().spawn([](workloads::Testbed& bed,
+                         std::set<int>& rehomed) -> Task<> {
+    // Polls from the first committed output until the sweep empties
+    // every tracker (bounded, so a missing sweep fails instead of hangs).
+    const auto& trackers = bed.runner().trackers();
+    bool started = false;
+    while (bed.engine().now() < 300.0) {
+      co_await bed.engine().delay(0.1);
+      size_t entries = 0;
+      for (const auto& tracker : trackers) {
+        entries += tracker->map_outputs.size();
+      }
+      if (entries == 0 && started) break;
+      started = started || entries > 0;
+      for (const auto& original : trackers) {
+        if (original->host->id() != 1) continue;
+        for (const auto& [key, info] : original->map_outputs) {
+          for (const auto& other : trackers) {
+            if (other != original && other->map_outputs.contains(key)) {
+              rehomed.insert(key.second);
+            }
+          }
+        }
+      }
+    }
+  }(bed_, rehomed));
+  const auto result = run_rotting_job();
+  EXPECT_GT(result.map_refetch_reruns, 0u);
+  EXPECT_FALSE(rehomed.empty());
+
+  EXPECT_TRUE(bed_.cluster().host(1).fs().list("mapout/").empty());
+  for (const auto& tracker : bed_.runner().trackers()) {
+    EXPECT_TRUE(tracker->map_outputs.empty()) << tracker->host->name();
+  }
 }
 
 // ----------------------------------------------------- HDFS failover
@@ -503,6 +561,53 @@ TEST(VerifiedWriteTest, RetryStoresTheSameBuffer) {
   const auto stored = host.fs().peek("spill").value();
   EXPECT_FALSE(stored.corrupted);
   EXPECT_EQ(stored.data.get(), payload.get());
+}
+
+// A killed duplicate that finishes while its map is rerun on its own
+// host registers as the rerun; the rerun then finishes second, with the
+// same path, and loses. The file that path names is the one the host
+// serves, so it must stay until the job ends.
+TEST(MapOutputRegistryTest, LosingRerunKeepsTheFileItsHostServes) {
+  DfsWorld w;
+  w.engine.spawn([](DfsWorld& w) -> Task<> {
+    EXPECT_TRUE((co_await w.dfs->write(w.host(1), "/in", pattern(64))).ok());
+  }(w));
+  w.engine.run();
+  mapred::JobSpec spec;
+  spec.input_files = {"/in"};
+  spec.conf.set_int(mapred::kNumReduces, 1);
+  mapred::TaskTrackerState original(w.engine, w.host(1), 1, 1);
+  mapred::TaskTrackerState rerun_host(w.engine, w.host(2), 1, 1);
+  mapred::JobRuntime job(*w.cluster, *w.network, *w.dfs, spec,
+                         {&original, &rerun_host}, 7);
+  const auto payload = std::make_shared<const Bytes>(pattern(64));
+  const auto output = std::make_shared<const dataplane::MapOutput>(
+      dataplane::MapOutput{payload, {{0, 64, 1}}});
+  const auto info = [&](int host_id) {
+    mapred::MapOutputInfo out;
+    out.map_id = 0;
+    out.host_id = host_id;
+    out.local_path = "mapout/7/map_0_h" + std::to_string(host_id);
+    out.output = output;
+    return out;
+  };
+  w.engine.spawn([](DfsWorld& w,
+                    std::shared_ptr<const Bytes> payload) -> Task<> {
+    for (int host_id : {1, 2}) {
+      const auto path = "mapout/7/map_0_h" + std::to_string(host_id);
+      EXPECT_TRUE(
+          (co_await w.host(host_id).fs().write_file(path, payload)).ok());
+    }
+  }(w, payload));
+  w.engine.run();
+
+  EXPECT_TRUE(job.record_map_output(info(1)));  // the original commits
+  job.rerunning_maps.insert(0);
+  EXPECT_TRUE(job.record_map_output(info(2)));  // the duplicate re-homes
+  EXPECT_FALSE(job.record_map_output(info(2)));  // the rerun loses
+  EXPECT_EQ(job.maps.at(0).ran_on, 2);
+  EXPECT_TRUE(w.host(2).fs().exists("mapout/7/map_0_h2"));
+  EXPECT_TRUE(w.host(1).fs().exists("mapout/7/map_0_h1"));
 }
 
 }  // namespace

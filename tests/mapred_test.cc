@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -530,6 +531,169 @@ TEST(MultiJobTest, MixedEnginesShareTheCluster) {
   auto report_b = workloads::validate_output(bed.dfs(), "/b/out");
   EXPECT_TRUE(report_a.ok() && report_a->valid_terasort(*digest_a));
   EXPECT_TRUE(report_b.ok() && report_b->valid_terasort(*digest_b));
+}
+
+// ------------------------------------------------- end-of-job cleanup
+
+// The `mapout/<job_id>/` directory component of a map-output path.
+int mapout_job_id(const std::string& path) {
+  const auto start = std::string("mapout/").size();
+  return std::stoi(path.substr(start, path.find('/', start) - start));
+}
+
+// Files under `prefix` on every host, and served entries on every
+// tracker: what a finished job must not leave behind.
+size_t local_files(Testbed& bed, const std::string& prefix) {
+  size_t files = 0;
+  for (net::Host* host : bed.cluster().hosts()) {
+    files += host->fs().list(prefix).size();
+  }
+  return files;
+}
+size_t served_outputs(Testbed& bed) {
+  size_t entries = 0;
+  for (const auto& tracker : bed.runner().trackers()) {
+    entries += tracker->map_outputs.size();
+  }
+  return entries;
+}
+
+class JobCleanupTest : public ::testing::TestWithParam<const char*> {};
+
+// Persistent TaskTrackers: every job releases its map outputs and local
+// files when it ends, so back-to-back jobs on one Testbed never pile up.
+TEST_P(JobCleanupTest, SequentialJobsLeaveNoLocalFiles) {
+  const std::string engine = GetParam();
+  SmallJob small;
+  if (engine != "vanilla") {
+    small.bed_spec.profile = net::NetProfile::verbs_qdr();
+  }
+  Testbed bed(small.bed_spec);
+  auto digest = bed.generate("teragen", small.gen);
+  ASSERT_TRUE(digest.ok());
+  Conf conf;
+  conf.set(kShuffleEngine, engine);
+  // One reducer and a 24 MB shuffle buffer: vanilla spills every
+  // fetched segment under shuffle/.
+  conf.set_int(kNumReduces, 1);
+  conf.set_bytes(kShuffleBufferBytes, 24 * kMiB);
+  for (int j = 0; j < 3; ++j) {
+    const std::string out = "/out" + std::to_string(j);
+    const auto result = bed.run_job(
+        workloads::terasort_job(bed.dfs(), "/in", out, conf));
+    EXPECT_EQ(result.output_records, digest->records);
+    auto report = workloads::validate_output(bed.dfs(), out);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->valid_terasort(*digest));
+    EXPECT_EQ(local_files(bed, "mapout/"), 0u) << "after job " << j;
+    EXPECT_EQ(local_files(bed, "shuffle/"), 0u) << "after job " << j;
+    EXPECT_EQ(served_outputs(bed), 0u) << "after job " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, JobCleanupTest,
+                         ::testing::Values("vanilla", "osu-ib", "hadoop-a"));
+
+// A JobTracker stream capped at two running jobs: a poller never sees
+// map outputs of more than two jobs at once, and every output validates.
+TEST(JobCleanupStreamTest, AtMostTwoJobsHoldMapOutputs) {
+  SmallJob small;
+  small.gen.modeled_total = 32 * kMiB;  // 4 maps per job
+  Testbed bed(small.bed_spec);
+  auto digest = bed.generate("teragen", small.gen);
+  ASSERT_TRUE(digest.ok());
+  SchedulerConfig sched;
+  sched.max_running_jobs = 2;
+  bed.set_scheduler(sched);
+  constexpr int kJobs = 12;
+  std::vector<JobSpec> jobs;
+  for (int j = 0; j < kJobs; ++j) {
+    jobs.push_back(workloads::terasort_job(
+        bed.dfs(), "/in", "/out" + std::to_string(j), Conf{}));
+    jobs.back().name = "stream-" + std::to_string(j);
+  }
+  size_t most_jobs = 0;
+  bed.engine().spawn([](Testbed& bed, size_t& most_jobs) -> sim::Task<> {
+    do {
+      co_await bed.engine().delay(0.05);
+      std::set<int> job_ids;
+      for (net::Host* host : bed.cluster().hosts()) {
+        for (const auto& path : host->fs().list("mapout/")) {
+          job_ids.insert(mapout_job_id(path));
+        }
+      }
+      most_jobs = std::max(most_jobs, job_ids.size());
+    } while (bed.tracker().running() + bed.tracker().queued() > 0);
+  }(bed, most_jobs));
+  const auto results = bed.run_jobs(std::move(jobs));
+  ASSERT_EQ(results.size(), size_t(kJobs));
+  EXPECT_EQ(most_jobs, 2u);
+  for (int j = 0; j < kJobs; ++j) {
+    auto report =
+        workloads::validate_output(bed.dfs(), "/out" + std::to_string(j));
+    ASSERT_TRUE(report.ok()) << "job " << j;
+    EXPECT_TRUE(report->valid_terasort(*digest)) << "job " << j;
+  }
+  EXPECT_EQ(local_files(bed, "mapout/"), 0u);
+  EXPECT_EQ(served_outputs(bed), 0u);
+}
+
+// Two concurrent jobs with the same name: their map-output files are
+// disjoint, and the first job's sweep leaves every file the second job
+// still serves in place.
+TEST(JobCleanupStreamTest, SameNameConcurrentJobsKeepDisjointFiles) {
+  SmallJob small;
+  Testbed bed(small.bed_spec);
+  auto gen_a = small.gen;
+  gen_a.dir = "/a/in";
+  auto gen_b = small.gen;
+  gen_b.dir = "/b/in";
+  gen_b.modeled_total = 128 * kMiB;  // outlives job a
+  gen_b.seed = 99;
+  auto digest_a = bed.generate("teragen", gen_a);
+  auto digest_b = bed.generate("teragen", gen_b);
+  ASSERT_TRUE(digest_a.ok() && digest_b.ok());
+  std::vector<JobSpec> jobs;
+  jobs.push_back(workloads::terasort_job(bed.dfs(), "/a/in", "/a/out", Conf{}));
+  jobs.push_back(workloads::terasort_job(bed.dfs(), "/b/in", "/b/out", Conf{}));
+  ASSERT_EQ(jobs[0].name, jobs[1].name);
+
+  struct Seen {
+    std::map<int, std::set<std::string>> paths;  // job id -> served paths
+    int missing = 0;  // served entries whose file was gone
+    int checks_after_first_done = 0;
+  } seen;
+  bed.engine().spawn([](Testbed& bed, Seen& seen) -> sim::Task<> {
+    do {
+      co_await bed.engine().delay(0.02);
+      for (const auto& tracker : bed.runner().trackers()) {
+        for (const auto& [key, info] : tracker->map_outputs) {
+          seen.paths[key.first].insert(tracker->host->name() + ":" +
+                                       info.local_path);
+          if (!tracker->host->fs().exists(info.local_path)) ++seen.missing;
+          if (bed.tracker().jobs().front()->completed) {
+            ++seen.checks_after_first_done;
+          }
+        }
+      }
+    } while (bed.tracker().running() > 0);
+  }(bed, seen));
+  const auto results = bed.run_jobs(std::move(jobs));
+  EXPECT_LT(results[0].finish_time, results[1].finish_time);
+
+  ASSERT_EQ(seen.paths.size(), 2u);
+  const auto& paths_a = seen.paths.begin()->second;
+  const auto& paths_b = seen.paths.rbegin()->second;
+  for (const auto& path : paths_a) {
+    EXPECT_FALSE(paths_b.contains(path)) << path << " shared by both jobs";
+  }
+  EXPECT_EQ(seen.missing, 0);
+  EXPECT_GT(seen.checks_after_first_done, 0);
+  auto report_a = workloads::validate_output(bed.dfs(), "/a/out");
+  auto report_b = workloads::validate_output(bed.dfs(), "/b/out");
+  EXPECT_TRUE(report_a.ok() && report_a->valid_terasort(*digest_a));
+  EXPECT_TRUE(report_b.ok() && report_b->valid_terasort(*digest_b));
+  EXPECT_EQ(local_files(bed, "mapout/"), 0u);
 }
 
 }  // namespace
