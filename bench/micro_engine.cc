@@ -1,28 +1,29 @@
-// bench/micro_engine: the ISSUE-7 event-queue speedup, measured and
-// committed. Two deterministic workloads run on BOTH EventQueue
-// implementations (4-ary + now-FIFO vs the legacy binary heap that
-// reproduces the pre-optimization std::priority_queue) and the ratio of
-// their wall-clock times is emitted as the hmr-bench-v1 "seconds" field:
+// bench/micro_engine: the event-queue speedup, measured and committed.
+// One deterministic queue-churn workload runs on sim::EventQueue (4-ary
+// heap + now-FIFO) and on a bench-local std::priority_queue<Event> — the
+// engine's container before that optimization — and the ratio of their
+// CPU times is emitted as the hmr-bench-v1 "seconds" field:
 //
-//   seconds = time(kFourAry) / time(kLegacyBinaryHeap)
+//   seconds = time(EventQueue) / time(std::priority_queue)
 //
 // A ratio is machine-independent in first order (CPU frequency cancels),
 // so tools/bench_check can diff it against bench/baselines/
 // BENCH_engine.json with a tight tolerance. A baseline ratio <= 0.5 is
-// the committed proof of the >= 2x events/sec acceptance criterion.
-// Absolute events/sec for both impls ride along as extra keys (allowed
-// by the schema) for human eyes.
+// the committed proof of a >= 2x events/sec gain. Absolute events/sec
+// for both containers ride along as extra keys (allowed by the schema)
+// for human eyes. Full-engine dispatch rate is perfbench's
+// sim.events_per_s.
 //
 // Regenerate the baseline after an intentional engine change with
 //   HMR_BENCH_DIR=bench/baselines ./build/bench/micro_engine
 //
 // Noise control, in layers: times are thread-CPU (immune to preemption
 // and CPU steal), a warmup pair absorbs first-touch page faults, reps
-// are INTERLEAVED (4-ary rep, legacy rep, 4-ary rep, ...) so each
-// 4-ary rep is paired with a legacy rep that saw the same machine
-// state, and the reported ratio is the MEDIAN of per-pair ratios — a
-// noisy stretch skews one pair, not the estimate. Both impls see
-// identical event streams.
+// are INTERLEAVED (EventQueue rep, baseline rep, EventQueue rep, ...)
+// so each EventQueue rep is paired with a baseline rep that saw the
+// same machine state, and the reported ratio is the MEDIAN of per-pair
+// ratios — a noisy stretch skews one pair, not the estimate. Both
+// containers see identical event streams.
 // A second family of series covers ISSUE-8 parallel work events
 // (sim/parallel.h): "parallel-overhead" is the thread-CPU cost of
 // routing compute through `co_await engine.parallel` at workers=1
@@ -42,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -70,33 +72,61 @@ double now_seconds() {
   return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
-// One timed repetition of a workload on one implementation.
+// One timed repetition of the workload on one container.
 struct Once {
-  std::uint64_t events = 0;  // events processed (impl-invariant)
-  double seconds = 0;        // wall time for this rep
-  double final_time = 0;     // queue/engine clock at the end (sanity)
+  std::uint64_t events = 0;  // events processed (container-invariant)
+  double seconds = 0;        // CPU time for this rep
+  double final_time = 0;     // queue clock at the end (sanity)
 };
 
-// One workload measured on both impls: the ratio (the baseline-diffed
-// number) is the MEDIAN of per-pair ratios — each 4-ary rep is paired
-// with the legacy rep that ran right next to it in time, so a noisy
-// stretch of machine skews one pair, not the estimate.
+// The workload measured on both containers: the ratio (the
+// baseline-diffed number) is the MEDIAN of per-pair ratios — each
+// EventQueue rep is paired with the baseline rep that ran right next to
+// it in time, so a noisy stretch of machine skews one pair, not the
+// estimate.
 struct Comparison {
-  std::uint64_t events = 0;    // events per rep (impl-invariant)
-  double ratio = 0;            // median of per-pair fourary/legacy times
-  double fourary_seconds = 0;  // median rep time, for display ev/s
-  double legacy_seconds = 0;
-  bool streams_match = false;  // both impls saw identical event streams
+  std::uint64_t events = 0;     // events per rep (container-invariant)
+  double ratio = 0;             // median of per-pair queue/baseline times
+  double queue_seconds = 0;     // median rep time, for display ev/s
+  double baseline_seconds = 0;
+  bool streams_match = false;   // both saw identical event streams
 };
 
-// Workload 1: raw queue churn against a fat backlog. 32k staggered
+// The engine's event container before the 4-ary heap and now-FIFO: a
+// std::priority_queue ordered by (at, seq), behind EventQueue's push/pop
+// signatures. The queue-churn ratio divides by its time.
+class PriorityQueueBaseline {
+ public:
+  void push(Time /*now*/, const EventQueue::Event& event) {
+    heap_.push(event);
+  }
+  EventQueue::Event pop() {
+    const EventQueue::Event top = heap_.top();
+    heap_.pop();
+    return top;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const EventQueue::Event& a,
+                    const EventQueue::Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<EventQueue::Event, std::vector<EventQueue::Event>,
+                      Later>
+      heap_;
+};
+
+// The workload: raw queue churn against a fat backlog. 32k staggered
 // future events stay resident while 16M pop+push operations replay the
 // engine's dominant mix: 7 of 8 re-arms land at exactly now() (channel
 // and resource wakeups — the FIFO fast path) and 1 of 8 is a short
 // future timer (the heap path). No coroutines are resumed — this
 // isolates the container cost the engine pays per event. Jitters are
 // precomputed so the measured loop is queue ops and nothing else.
-Once queue_churn(EventQueue::Impl impl) {
+template <typename Queue>
+Once queue_churn() {
   constexpr std::size_t kBacklog = 32768;
   // Sized so one rep is hundreds of milliseconds of CPU: the kernel
   // accounts thread CPU time in ~10ms jiffies, so short reps would be
@@ -110,7 +140,7 @@ Once queue_churn(EventQueue::Impl impl) {
   }();
   Once m;
   m.events = kOps;
-  EventQueue queue(impl);
+  Queue queue;
   Rng backlog_rng(11, "micro_engine.backlog");
   std::uint64_t seq = 0;
   double now = 0.0;
@@ -133,36 +163,6 @@ Once queue_churn(EventQueue::Impl impl) {
   return m;
 }
 
-// Workload 2: the full engine loop. 128k far-future timer processes
-// keep the heap deep (each holds exactly one pending event for the
-// whole hot phase) while 64 hot processes spin on delay(0), so every
-// hot dispatch exercises the now-FIFO (or, on the legacy impl, a full
-// O(log n) push+pop against the 128k backlog) plus real coroutine
-// resumption — the events/sec the simulator actually sustains.
-Once engine_dispatch(EventQueue::Impl impl) {
-  constexpr int kTimers = 131072;
-  constexpr int kHot = 64;
-  constexpr int kSpins = 16000;
-  Once m;
-  Engine engine(1, impl);
-  for (int t = 0; t < kTimers; ++t) {
-    engine.spawn([](Engine& e, int t) -> Task<> {
-      co_await e.delay(1e6 + t);  // pending for the whole hot phase
-    }(engine, t));
-  }
-  for (int h = 0; h < kHot; ++h) {
-    engine.spawn([](Engine& e) -> Task<> {
-      for (int i = 0; i < kSpins; ++i) co_await e.delay(0.0);
-    }(engine));
-  }
-  const double t0 = now_seconds();
-  engine.run();
-  m.seconds = now_seconds() - t0;
-  m.events = engine.events_dispatched();
-  m.final_time = engine.now();
-  return m;
-}
-
 // Wall clock for the speedup series: worker threads are the whole
 // point, so thread-CPU time of the engine thread would miss them.
 double now_wall_seconds() {
@@ -179,7 +179,7 @@ struct ParallelOnce {
   std::uint64_t checksum = 0;  // XOR of per-host compute sums
 };
 
-// Workload 3: parallel work events. Eight hosts each run rounds of
+// Parallel work events. Eight hosts each run rounds of
 // `co_await parallel(host, <hash spin>)` separated by equal delays, so
 // every round is one batch of eight single-item chains — the shape
 // map-compute batches take in a real job. The spin is sized to
@@ -248,25 +248,23 @@ double median(std::vector<double> v) {
 
 // Interleaved pairs: one warmup pair (discarded — first-touch page
 // faults and allocator growth land there), then kReps timed pairs.
-template <typename Workload>
-Comparison measure(Workload workload) {
+Comparison measure_queue_churn() {
   Comparison c;
-  workload(EventQueue::Impl::kFourAry);
-  workload(EventQueue::Impl::kLegacyBinaryHeap);
-  std::vector<double> ratios, fourary_times, legacy_times;
+  queue_churn<EventQueue>();
+  queue_churn<PriorityQueueBaseline>();
+  std::vector<double> ratios, queue_times, baseline_times;
   for (int rep = 0; rep < kReps; ++rep) {
-    const Once f = workload(EventQueue::Impl::kFourAry);
-    const Once l = workload(EventQueue::Impl::kLegacyBinaryHeap);
-    ratios.push_back(f.seconds / l.seconds);
-    fourary_times.push_back(f.seconds);
-    legacy_times.push_back(l.seconds);
-    c.events = f.events;
-    c.streams_match =
-        f.events == l.events && f.final_time == l.final_time;
+    const Once q = queue_churn<EventQueue>();
+    const Once b = queue_churn<PriorityQueueBaseline>();
+    ratios.push_back(q.seconds / b.seconds);
+    queue_times.push_back(q.seconds);
+    baseline_times.push_back(b.seconds);
+    c.events = q.events;
+    c.streams_match = q.events == b.events && q.final_time == b.final_time;
   }
   c.ratio = median(ratios);
-  c.fourary_seconds = median(fourary_times);
-  c.legacy_seconds = median(legacy_times);
+  c.queue_seconds = median(queue_times);
+  c.baseline_seconds = median(baseline_times);
   return c;
 }
 
@@ -278,22 +276,23 @@ Json make_run(const std::string& series, const Comparison& c) {
   Json run = Json::object();
   run.set("series", Json(series));
   run.set("size_gb", Json(0.0));
-  // The baseline-diffed quantity: new-queue time as a fraction of
-  // legacy-queue time (< 1 is a speedup, 0.5 is the 2x acceptance bar).
+  // The baseline-diffed quantity: EventQueue time as a fraction of
+  // std::priority_queue time (< 1 is a speedup, 0.5 is a 2x gain).
   run.set("seconds", Json(c.ratio));
   run.set("phases", std::move(phases));
   run.set("overlap_fraction", Json(0.0));
   run.set("cache_hit_rate", Json(0.0));
-  // Validated = both impls processed the identical event stream: same
-  // count, same final simulated clock.
+  // Validated = both containers processed the identical event stream:
+  // same count, same final simulated clock.
   run.set("validated", Json(c.streams_match));
-  run.set("events_per_sec_fourary",
-          Json(double(c.events) / c.fourary_seconds));
-  run.set("events_per_sec_legacy",
-          Json(double(c.events) / c.legacy_seconds));
-  std::printf("%-28s 4-ary %10.0f ev/s   legacy %10.0f ev/s   %.2fx\n",
-              series.c_str(), double(c.events) / c.fourary_seconds,
-              double(c.events) / c.legacy_seconds, 1.0 / c.ratio);
+  run.set("events_per_sec_event_queue",
+          Json(double(c.events) / c.queue_seconds));
+  run.set("events_per_sec_priority_queue",
+          Json(double(c.events) / c.baseline_seconds));
+  std::printf("%-28s EventQueue %10.0f ev/s   priority_queue %10.0f ev/s"
+              "   %.2fx\n",
+              series.c_str(), double(c.events) / c.queue_seconds,
+              double(c.events) / c.baseline_seconds, 1.0 / c.ratio);
   return run;
 }
 
@@ -393,12 +392,12 @@ Json make_parallel_speedup_run() {
   return run;
 }
 
-// Workload 5: the hmr-lint repo-wide call-graph analysis (ISSUE 9) run
-// over the repo's own tree. Gated "seconds" is the full analysis (call
-// graph extraction, fixed-point effect propagation, every rule family)
-// as a multiple of a bare lex of the same files — a machine-independent
-// ratio, like the queue series, bounding how much the call-graph layers
-// cost on top of tokenization. Absolute full-tree milliseconds ride
+// The hmr-lint repo-wide call-graph analysis run over the repo's own
+// tree. Gated "seconds" is the full analysis (call graph extraction,
+// fixed-point effect propagation, every rule family) as a multiple of a
+// bare lex of the same files — a machine-independent ratio, like the
+// queue series, bounding how much the call-graph layers cost on top of
+// tokenization. Absolute full-tree milliseconds ride
 // along ungated for human eyes. `validated` doubles as a dogfood check:
 // the tree must lint to zero findings.
 Json make_lint_run() {
@@ -470,13 +469,10 @@ Json make_lint_run() {
 }  // namespace
 
 int main() {
-  std::printf("micro_engine: EventQueue 4-ary+FIFO vs legacy binary heap "
+  std::printf("micro_engine: EventQueue 4-ary+FIFO vs std::priority_queue "
               "(median of %d interleaved rep pairs)\n", kReps);
   Json runs = Json::array();
-  runs.push_back(
-      make_run("queue-churn 32k-backlog", measure(queue_churn)));
-  runs.push_back(
-      make_run("engine-dispatch 128k-timers", measure(engine_dispatch)));
+  runs.push_back(make_run("queue-churn 32k-backlog", measure_queue_churn()));
   runs.push_back(make_parallel_overhead_run());
   runs.push_back(make_parallel_speedup_run());
   runs.push_back(make_lint_run());
@@ -484,8 +480,8 @@ int main() {
   Json doc = Json::object();
   doc.set("schema", Json("hmr-bench-v1"));
   doc.set("figure", Json("engine"));
-  doc.set("title", Json("Engine event-queue: 4-ary+FIFO time as a fraction "
-                        "of the legacy binary heap"));
+  doc.set("title", Json("Engine event queue: 4-ary+FIFO time as a fraction "
+                        "of a std::priority_queue"));
   doc.set("workload", Json("microbench"));
   doc.set("nodes", Json(std::int64_t(0)));
   doc.set("runs", std::move(runs));

@@ -27,8 +27,7 @@ void on_detached_done(PromiseBase& promise) noexcept {
 
 }  // namespace detail
 
-Engine::Engine(std::uint64_t seed, EventQueue::Impl queue_impl)
-    : queue_(queue_impl), seed_(seed) {
+Engine::Engine(std::uint64_t seed) : seed_(seed) {
   Logger::instance().set_time_source([this] { return now_; });
 }
 
@@ -102,7 +101,6 @@ bool Engine::step() {
     return false;
   }
   EventQueue::Event event = queue_.pop();
-  HMR_CHECK(event.at >= now_);
   now_ = event.at;
   ++events_dispatched_;
   if (event.work == nullptr) {
@@ -207,6 +205,7 @@ void Engine::drain_and_resume(ParallelWork& work) {
 Time Engine::run() {
   while (step()) {
   }
+  HMR_CHECK(next_seq_ == events_dispatched_ + queue_.size());
   return now_;
 }
 
@@ -216,6 +215,7 @@ Time Engine::run_until(Time deadline) {
   }
   // Don't jump time past still-queued events after an overrun stop.
   if (!overrun_ && now_ < deadline) now_ = deadline;
+  HMR_CHECK(next_seq_ == events_dispatched_ + queue_.size());
   return now_;
 }
 

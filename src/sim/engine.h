@@ -36,8 +36,7 @@ class Tracer;
 
 class Engine {
  public:
-  explicit Engine(std::uint64_t seed = 1,
-                  EventQueue::Impl queue_impl = EventQueue::Impl::kFourAry);
+  explicit Engine(std::uint64_t seed = 1);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -113,6 +112,10 @@ class Engine {
   int parallel_workers() const { return parallel_workers_; }
 
   // Runs until the event queue drains. Returns the final simulated time.
+  // Both run() and run_until() check on return that every event ever
+  // scheduled was dispatched or is still queued (none lost); with the
+  // queue's per-pop order check, each is dispatched exactly once, in
+  // (timestamp, seq) order.
   Time run();
   // Runs until the queue drains or simulated time would pass `deadline`.
   Time run_until(Time deadline);

@@ -6,10 +6,10 @@
 // correct priority queue yields the identical dispatch sequence —
 // determinism holds by construction, not by container internals.
 //
-// The default implementation is a 4-ary implicit min-heap plus a
-// "now-FIFO" fast path: an event scheduled at exactly the current time
-// bypasses the heap into a plain FIFO, which costs O(1) instead of
-// O(log n) against however many future timers are pending. This is the
+// The container is a 4-ary implicit min-heap plus a "now-FIFO" fast
+// path: an event scheduled at exactly the current time bypasses the
+// heap into a plain FIFO, which costs O(1) instead of O(log n) against
+// however many future timers are pending. This is the
 // dominant pattern in the simulator — schedule_now() wakeups from
 // channels, resources, and completed transfers all land at now().
 //
@@ -20,18 +20,23 @@
 // event). Same-time events split across FIFO and heap are tie-broken by
 // sequence number at pop(), exactly as a single heap would.
 //
-// kLegacyBinaryHeap reproduces the pre-optimization
-// std::priority_queue<Event> (binary heap, no FIFO). It exists so the
-// simfuzz oracle can replay a scenario on both implementations and
-// assert byte-identical results, and so bench/micro_engine can report
-// the speedup ratio against the committed baseline.
+// pop() checks the contract on every call: each popped (at, seq) must
+// be strictly greater than the previous one. A later push always carries
+// a larger seq and (through the engine) at >= now, so a monotone pop
+// sequence is exactly the (timestamp, seq) order, whatever the
+// container; a lane or heap bug that releases an event early or late
+// aborts the run at that pop instead of silently reordering it. The
+// compare costs one branch per event. tests/sim_test.cc checks the
+// container against a std::priority_queue reference.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <limits>
 #include <vector>
+
+#include "common/status.h"
 
 namespace hmr::sim {
 
@@ -41,11 +46,6 @@ struct ParallelWork;  // sim/parallel.h
 
 class EventQueue {
  public:
-  enum class Impl {
-    kFourAry,          // 4-ary min-heap + now-FIFO (default)
-    kLegacyBinaryHeap  // pre-optimization std::priority_queue equivalent
-  };
-
   struct Event {
     Time at;
     std::uint64_t seq;
@@ -55,8 +55,6 @@ class EventQueue {
     // events) before resuming `handle`. Plain events leave it null.
     ParallelWork* work = nullptr;
   };
-
-  explicit EventQueue(Impl impl = Impl::kFourAry) : impl_(impl) {}
 
   bool empty() const { return heap_.empty() && fifo_head_ == fifo_.size(); }
   std::size_t size() const {
@@ -76,34 +74,29 @@ class EventQueue {
   }
 
   // `now` is the engine's current time: events landing exactly at `now`
-  // take the FIFO fast path (4-ary impl only).
+  // take the FIFO fast path.
   void push(Time now, Event event) {
-    if (impl_ == Impl::kFourAry && event.at == now) {
+    if (event.at == now) {
       fifo_.push_back(event);
-      return;
-    }
-    if (impl_ == Impl::kFourAry) {
-      push_heap4(event);
     } else {
-      push_heap2(event);
+      push_heap4(event);
     }
   }
 
   // Removes and returns the minimal (at, seq) event; queue must be
-  // non-empty.
+  // non-empty. Aborts if it does not sort strictly after the previous
+  // pop (the dispatch-order check above).
   Event pop() {
-    if (fifo_head_ != fifo_.size() && (heap_.empty() || fifo_front_wins())) {
-      Event out = fifo_[fifo_head_++];
-      if (fifo_head_ == fifo_.size()) {
-        fifo_.clear();
-        fifo_head_ = 0;
-      }
-      return out;
-    }
-    return impl_ == Impl::kFourAry ? pop_heap4() : pop_heap2();
+    const bool from_fifo =
+        fifo_head_ != fifo_.size() && (heap_.empty() || fifo_front_wins());
+    const Event out = from_fifo ? pop_fifo() : pop_heap4();
+    HMR_CHECK_MSG(last_at_ < out.at ||
+                      (last_at_ == out.at && last_seq_ < out.seq),
+                  "event queue popped out of (at, seq) order");
+    last_at_ = out.at;
+    last_seq_ = out.seq;
+    return out;
   }
-
-  Impl impl() const { return impl_; }
 
  private:
   static bool less(const Event& a, const Event& b) {
@@ -131,6 +124,15 @@ class EventQueue {
     heap_[i] = event;
   }
 
+  Event pop_fifo() {
+    const Event out = fifo_[fifo_head_++];
+    if (fifo_head_ == fifo_.size()) {
+      fifo_.clear();
+      fifo_head_ = 0;
+    }
+    return out;
+  }
+
   Event pop_heap4() {
     Event out = heap_.front();
     const Event last = heap_.back();
@@ -155,47 +157,14 @@ class EventQueue {
     return out;
   }
 
-  // Binary heap via the same sift routines std::priority_queue uses.
-  void push_heap2(const Event& event) {
-    std::size_t i = heap_.size();
-    heap_.push_back(event);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 1;
-      if (!less(event, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = event;
-  }
-
-  Event pop_heap2() {
-    Event out = heap_.front();
-    const Event last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-      std::size_t i = 0;
-      while (true) {
-        const std::size_t left = (i << 1) + 1;
-        if (left >= n) break;
-        std::size_t best = left;
-        const std::size_t right = left + 1;
-        if (right < n && less(heap_[right], heap_[left])) best = right;
-        if (!less(heap_[best], last)) break;
-        heap_[i] = heap_[best];
-        i = best;
-      }
-      heap_[i] = last;
-    }
-    return out;
-  }
-
-  Impl impl_;
   std::vector<Event> heap_;
   // FIFO of events at exactly now(); head index instead of pop_front so
   // drained prefixes cost nothing until the vector resets.
   std::vector<Event> fifo_;
   std::size_t fifo_head_ = 0;
+  // Key of the last popped event; nothing sorts before the initial one.
+  Time last_at_ = -std::numeric_limits<Time>::infinity();
+  std::uint64_t last_seq_ = 0;
 };
 
 }  // namespace hmr::sim

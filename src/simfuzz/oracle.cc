@@ -162,13 +162,11 @@ std::string job_result_json(const mapred::JobResult& job) {
   return j.dump();
 }
 
-EngineRun run_engine(const Scenario& scenario, const std::string& engine,
-                     sim::EventQueue::Impl queue_impl) {
+EngineRun run_engine(const Scenario& scenario, const std::string& engine) {
   EngineRun run;
   run.engine = engine;
 
   ScenarioSetup setup = scenario_setup(scenario, engine);
-  setup.bed_spec.queue_impl = queue_impl;
   workloads::Testbed bed(setup.bed_spec);
   auto digest = bed.generate(setup.terasort ? "teragen" : "randomwriter",
                              setup.gen);
@@ -567,15 +565,6 @@ namespace {
 int twin_workers(const Scenario& s) { return s.parallel_workers > 1 ? 1 : 2; }
 
 constexpr ReplayOracle kReplayOracles[] = {
-    // Both queues implement the same (timestamp, seq) total order, so
-    // ANY divergence is a queue bug, not a modeling change.
-    {"queue.result_identity", [](const Scenario&) { return true; },
-     [](Scenario s) { return s; }, sim::EventQueue::Impl::kLegacyBinaryHeap,
-     ReplayMatch::kResultJson,
-     [](const Scenario&) -> std::string {
-       return "legacy binary-heap replay produced a different serialized "
-              "JobResult than the 4-ary queue";
-     }},
     // Divergence means a parallel fn broke the host-independence contract
     // (sim/parallel.h) or the staging drain reordered effects.
     {"engine.parallel_identity", [](const Scenario&) { return true; },
@@ -583,7 +572,7 @@ constexpr ReplayOracle kReplayOracles[] = {
        s.parallel_workers = twin_workers(s);
        return s;
      },
-     sim::EventQueue::Impl::kFourAry, ReplayMatch::kResultJson,
+     ReplayMatch::kResultJson,
      [](const Scenario& s) {
        return fmt("replay at sim.parallel.workers=%d produced a different "
                   "serialized JobResult than workers=%d",
@@ -599,12 +588,11 @@ constexpr ReplayOracle kReplayOracles[] = {
        s.speculative = false;
        return s;
      },
-     sim::EventQueue::Impl::kFourAry, ReplayMatch::kOutputContent,
+     ReplayMatch::kOutputContent,
      [](const Scenario&) -> std::string { return "speculation"; }},
     {"determinism.job_result",
      [](const Scenario& s) { return s.check_determinism; },
-     [](Scenario s) { return s; }, sim::EventQueue::Impl::kFourAry,
-     ReplayMatch::kResultJson,
+     [](Scenario s) { return s; }, ReplayMatch::kResultJson,
      [](const Scenario&) -> std::string {
        return "re-run produced a different serialized JobResult";
      }},
@@ -668,8 +656,7 @@ Verdict check_scenario(const Scenario& scenario) {
   for (const ReplayOracle& oracle : replay_oracles()) {
     if (!oracle.applies(scenario)) continue;
     compare_replay(oracle, scenario, ref,
-                   run_engine(oracle.twin(scenario), ref.engine,
-                              oracle.queue_impl),
+                   run_engine(oracle.twin(scenario), ref.engine),
                    &verdict);
   }
   return verdict;

@@ -12,8 +12,6 @@
 //    starvation, scheduler books, and per-job serial identity.
 //  * the replay oracles (replay_oracles()): replay osu-ib with one thing
 //    changed and compare.
-//      queue.result_identity        always: legacy binary-heap queue,
-//                                   whole JobResult
 //      engine.parallel_identity     always: opposite pool width, whole
 //                                   JobResult
 //      speculation.result_identity  speculative: speculation off, output
@@ -28,7 +26,6 @@
 
 #include "common/metrics.h"
 #include "mapred/types.h"
-#include "sim/event_queue.h"
 #include "simfuzz/scenario.h"
 #include "workloads/jobs.h"
 
@@ -79,11 +76,7 @@ std::string job_result_json(const mapred::JobResult& job);
 // wrong *output*; it still HMR_CHECKs on harness bugs (generation
 // failure), and scenarios whose faults make completion impossible abort
 // in the runtime by design (the generator never emits those).
-// `queue_impl` selects the engine's event-queue implementation (the
-// queue.result_identity twin replays with the legacy binary heap).
-EngineRun run_engine(
-    const Scenario& scenario, const std::string& engine,
-    sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry);
+EngineRun run_engine(const Scenario& scenario, const std::string& engine);
 
 // Appends per-engine violations for one run.
 void check_engine_run(const Scenario& scenario, const EngineRun& run,
@@ -104,14 +97,13 @@ enum class ReplayMatch {
 };
 
 // One replay oracle: when it `applies`, the twin runs `twin(scenario)`
-// on `queue_impl` and must reproduce `match` of the reference run.
+// and must reproduce `match` of the reference run.
 // `describe` gives the violation detail (kResultJson), or the knob the
 // twin turns off (kOutputContent: "with <knob> ... without").
 struct ReplayOracle {
   const char* id;
   bool (*applies)(const Scenario&);
   Scenario (*twin)(Scenario);
-  sim::EventQueue::Impl queue_impl;
   ReplayMatch match;
   std::string (*describe)(const Scenario&);
 };

@@ -6,7 +6,7 @@
 namespace hmr::workloads {
 
 Testbed::Testbed(TestbedSpec spec)
-    : spec_(spec), engine_(spec.seed, spec.queue_impl) {
+    : spec_(spec), engine_(spec.seed) {
   engine_.set_parallel_workers(spec.parallel_workers);
   // host 0 = master (NameNode + JobTracker); hosts 1..N = DataNode +
   // TaskTracker.

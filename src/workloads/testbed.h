@@ -14,7 +14,6 @@
 #include "mapred/jobtracker.h"
 #include "net/cluster.h"
 #include "net/network.h"
-#include "sim/event_queue.h"
 #include "workloads/datagen.h"
 #include "workloads/jobs.h"
 
@@ -28,11 +27,6 @@ struct TestbedSpec {
   net::NetProfile profile = net::NetProfile::ipoib_qdr();
   hdfs::HdfsParams hdfs;
   std::uint64_t seed = 1;
-  // Event-queue implementation for the testbed's engine. Both impls
-  // dispatch in identical (timestamp, seq) order (sim/event_queue.h);
-  // the legacy heap exists so equivalence oracles and benchmarks can
-  // compare against the pre-4-ary behaviour.
-  sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry;
   // Worker-pool width for parallel work events (sim/parallel.h); 1 = the
   // serial engine. Results are byte-identical at every value — the
   // simfuzz engine.parallel_identity oracle enforces it. Jobs can

@@ -17,6 +17,7 @@
 
 #include "common/conf.h"
 #include "mapred/types.h"
+#include "oracle_lookup.h"
 #include "sim/engine.h"
 #include "sim/parallel.h"
 #include "simfuzz/oracle.h"
@@ -271,15 +272,6 @@ namespace hmr::simfuzz {
 namespace {
 
 constexpr std::uint64_t kMiB = 1024 * 1024;
-
-// The replay-oracle table row with this id.
-const ReplayOracle& replay_oracle(const std::string& id) {
-  for (const ReplayOracle& oracle : replay_oracles()) {
-    if (oracle.id == id) return oracle;
-  }
-  ADD_FAILURE() << "no replay oracle " << id;
-  return replay_oracles().front();
-}
 
 // Bound a generated scenario's data volume so the 16-seed × 4-width
 // sweep stays inside the CI budget; shape, knobs, and fault plan are

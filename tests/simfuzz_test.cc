@@ -7,11 +7,13 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "mapred/types.h"
+#include "oracle_lookup.h"
 #include "simfuzz/fuzzer.h"
 #include "simfuzz/oracle.h"
 #include "simfuzz/scenario.h"
@@ -22,15 +24,6 @@ namespace hmr::simfuzz {
 namespace {
 
 constexpr std::uint64_t kMiB = 1024 * 1024;
-
-// The replay-oracle table row with this id.
-const ReplayOracle& replay_oracle(const std::string& id) {
-  for (const ReplayOracle& oracle : replay_oracles()) {
-    if (oracle.id == id) return oracle;
-  }
-  ADD_FAILURE() << "no replay oracle " << id;
-  return replay_oracles().front();
-}
 
 // A scenario small enough that a full three-engine oracle pass stays
 // well under a second.
@@ -204,38 +197,16 @@ TEST(OracleTest, GoldenDeterminismPerEngine) {
   }
 }
 
-// The old-vs-new event queue oracle on every engine: both queue
-// implementations promise the same (timestamp, seq) dispatch order, so
-// the serialized JobResult — every phase timestamp, counter, and the
-// metrics snapshot — must come out byte-identical.
-TEST(OracleTest, QueueImplsProduceByteIdenticalResults) {
-  const Scenario s = small_scenario();
-  const ReplayOracle& oracle = replay_oracle("queue.result_identity");
-  ASSERT_EQ(oracle.match, ReplayMatch::kResultJson);
-  ASSERT_EQ(oracle.queue_impl, sim::EventQueue::Impl::kLegacyBinaryHeap);
-  for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
-    const EngineRun fourary =
-        run_engine(s, engine, sim::EventQueue::Impl::kFourAry);
-    ASSERT_FALSE(fourary.result_json.empty()) << engine;
-    const EngineRun legacy =
-        run_engine(oracle.twin(s), engine, oracle.queue_impl);
-    Verdict verdict;
-    compare_replay(oracle, s, fourary, legacy, &verdict);
-    EXPECT_TRUE(verdict.ok()) << engine << ": " << verdict.summary();
-  }
-}
-
-// ISSUE 7 success metric: a 256-node terasort completes in CI-budget
-// wall time and the 4-ary queue reproduces the legacy serial engine's
-// run byte for byte at that scale — the queue changes how fast the
-// simulator dispatches, never what the job computes.
-TEST(OracleTest, Terasort256NodesByteIdenticalAcrossQueues) {
+// A 256-node osu-ib terasort completes in CI-budget wall time with
+// validated output, and its engine.parallel_identity twin at workers=2
+// reproduces the whole serialized JobResult byte for byte at that scale.
+TEST(OracleTest, Terasort256NodesByteIdenticalParallelTwin) {
   constexpr double kScale = 8192.0;  // ~512 KiB real bytes carried
-  const auto run_with = [&](sim::EventQueue::Impl impl) {
+  const auto run_with = [&](int workers) {
     workloads::TestbedSpec spec;
     spec.nodes = 256;
     spec.hdfs.block_size = 32 * kMiB;
-    spec.queue_impl = impl;
+    spec.parallel_workers = workers;
     workloads::Testbed bed(spec);
 
     workloads::DataGenSpec gen;
@@ -264,15 +235,18 @@ TEST(OracleTest, Terasort256NodesByteIdenticalAcrossQueues) {
     }
     return job_result_json(result);
   };
-  const ReplayOracle& oracle = replay_oracle("queue.result_identity");
-  EngineRun fourary;
-  fourary.engine = "osu-ib";
-  fourary.result_json = run_with(sim::EventQueue::Impl::kFourAry);
-  EngineRun legacy = fourary;
-  legacy.result_json = run_with(sim::EventQueue::Impl::kLegacyBinaryHeap);
-  ASSERT_FALSE(fourary.result_json.empty());
+  const ReplayOracle& oracle = replay_oracle("engine.parallel_identity");
+  Scenario serial;
+  serial.parallel_workers = 1;
+  ASSERT_EQ(oracle.twin(serial).parallel_workers, 2);
+  EngineRun ref;
+  ref.engine = "osu-ib";
+  ref.result_json = run_with(serial.parallel_workers);
+  ASSERT_FALSE(ref.result_json.empty());
+  EngineRun twin = ref;
+  twin.result_json = run_with(oracle.twin(serial).parallel_workers);
   Verdict verdict;
-  compare_replay(oracle, Scenario{}, fourary, legacy, &verdict);
+  compare_replay(oracle, serial, ref, twin, &verdict);
   EXPECT_TRUE(verdict.ok()) << verdict.summary();
 }
 
@@ -367,8 +341,7 @@ TEST(OracleTest, SpeculationIdentityUnderComputeChaos) {
       const ReplayOracle& oracle =
           replay_oracle("speculation.result_identity");
       ASSERT_TRUE(oracle.applies(s));
-      const EngineRun off =
-          run_engine(oracle.twin(s), engine, oracle.queue_impl);
+      const EngineRun off = run_engine(oracle.twin(s), engine);
       EXPECT_EQ(off.job.speculative_attempts, 0u) << engine;
       Verdict verdict;
       compare_replay(oracle, s, run, off, &verdict);
@@ -410,9 +383,10 @@ TEST(OracleTableTest, EachComparatorFlagsOnlyItsOwnOracle) {
       EXPECT_FALSE(violation.detail.empty());
     }
   }
-  EXPECT_EQ(ids, (std::set<std::string>{
-                     "queue.result_identity", "engine.parallel_identity",
-                     "speculation.result_identity", "determinism.job_result"}));
+  EXPECT_EQ(ids, (std::set<std::string>{"engine.parallel_identity",
+                                         "speculation.result_identity",
+                                         "determinism.job_result"}));
+  EXPECT_THROW(replay_oracle("queue.result_identity"), std::out_of_range);
 }
 
 // Output-content rows ignore timings and counters but catch every
